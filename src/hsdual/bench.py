@@ -74,8 +74,8 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     bases = BasisPair.standard(cfg.dim, cfg.dim)
 
     def via_rmatrix():
-        r_total = np.eye(cfg.dim**2, dtype=complex)
-        for ms in chains:
+        r_total = kraus_to_r_kron(chains[0])
+        for ms in chains[1:]:
             r_total = kraus_to_r_kron(ms) @ r_total
         return devec_jstar(r_total @ vec_j(state, bases), bases)
 

@@ -17,14 +17,10 @@ import numpy as np
 from .bench import BenchConfig, CSV_COLUMNS, run_bench
 from .entangle import schmidt, rank_from_lambdas
 from .io import FormatError, fmt_number, format_matrix, load_channel, load_matrix
-from .linalg import (
-    DimensionMismatchError,
-    Tolerance,
-    complex_gaussian,
-    is_hermitian,
-    min_eigenvalue,
-    operator_norm,
-)
+from .linalg import DimensionMismatchError, Tolerance, complex_gaussian, psd_check
+
+# hsbench/tracing.py wraps these names on this module, so they must stay importable.
+from .linalg import is_hermitian, min_eigenvalue, operator_norm  # noqa: F401
 from .superop import HSMap, SuperOp, choi_map, compose, kraus_apply, tp_deviation
 from .selftest import SUITES, run_suites
 from .vectorize import Basis, BasisPair, devec_jstar, vec_j
@@ -35,8 +31,19 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 
 
+class UsageError(ValueError):
+    """A malformed flag or environment setting (exit 2)."""
+
+
 def _max_dim() -> int:
-    return int(os.environ.get("HSDUAL_MAX_DIM", "64"))
+    raw = os.environ.get("HSDUAL_MAX_DIM", "64")
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise UsageError(f"HSDUAL_MAX_DIM must be a positive integer, got {raw!r}")
+    return limit
 
 
 def _guard_dims(*dims: int) -> None:
@@ -103,11 +110,12 @@ def cmd_check(args) -> int:
     tol = Tolerance()
     ok = True
     if run_cp:
-        c = choi_map(HSMap.from_kraus(ms), Basis.standard(d))
-        mineig = min_eigenvalue(c)
-        passed = is_hermitian(c, tol) and mineig >= -tol.abs * (1 + operator_norm(c))
-        ok &= passed
-        print(f"cp: {'PASS' if passed else 'FAIL'} (min eigenvalue = {fmt_number(mineig, args.digits)})")
+        verdict = psd_check(choi_map(HSMap.from_kraus(ms), Basis.standard(d)), tol)
+        ok &= verdict.passed
+        print(
+            f"cp: {'PASS' if verdict.passed else 'FAIL'} "
+            f"(min eigenvalue = {fmt_number(verdict.min_eigenvalue, args.digits)})"
+        )
     if run_tp:
         dev = tp_deviation(ms)
         passed = dev <= tol.abs + tol.rel
@@ -124,8 +132,8 @@ def cmd_compose(args) -> int:
         if ms[0].shape[0] != d:
             raise DimensionMismatchError(f"compose: {path} has dimension {ms[0].shape[0]}, expected {d}")
     basis = Basis.standard(d)
-    total = SuperOp.identity(BasisPair(basis, basis))
-    for ms in channels:  # first file applied first
+    total = SuperOp.from_kraus(channels[0], basis)
+    for ms in channels[1:]:  # first file applied first
         total = compose(SuperOp.from_kraus(ms, basis), total)
     sys.stdout.write(format_matrix(total.rmatrix, args.digits))
     if args.verify:
@@ -259,6 +267,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "digits", 0) < 0:
+            raise UsageError(f"--digits must be a non-negative integer, got {args.digits}")
         return args.fn(args)
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -11,12 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Guard against accidental huge Kronecker products (entries of the result).
+# Largest dense result, in entries, that a Kronecker product or a d^2 x d^2
+# superoperator (R-matrix, Choi matrix) may have: 2^20 entries, 16 MiB complex.
 MAX_KRON_ENTRIES = 2**20
 
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes for the requested operation."""
+
+
+def guard_entries(entries: int, what: str) -> None:
+    """Refuse a dense result above MAX_KRON_ENTRIES before it is allocated."""
+    if entries > MAX_KRON_ENTRIES:
+        raise DimensionMismatchError(
+            f"{what} would have {entries} entries (max {MAX_KRON_ENTRIES})"
+        )
 
 
 @dataclass(frozen=True)
@@ -58,10 +67,7 @@ def kron(a, b) -> np.ndarray:
     """Kronecker product, first factor index-major."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.size * b.size > MAX_KRON_ENTRIES:
-        raise DimensionMismatchError(
-            f"kron result would have {a.size * b.size} entries (max {MAX_KRON_ENTRIES})"
-        )
+    guard_entries(a.size * b.size, "kron result")
     return np.kron(a, b)
 
 
@@ -131,16 +137,36 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def is_psd(h, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness: Hermitian within tol and min eigenvalue
-    >= -tol.abs * (1 + operator norm)."""
+@dataclass(frozen=True)
+class PsdVerdict:
+    """Outcome of psd_check: passed iff Hermitian within tol and
+    min_eigenvalue >= threshold."""
+
+    passed: bool
+    min_eigenvalue: float
+    threshold: float
+
+
+def psd_check(h, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
+    """Positive semidefiniteness from one eigendecomposition.
+
+    h must be Hermitian within tol, and the least eigenvalue of its Hermitian
+    part H must be >= -tol.abs * (1 + ||H||_2), where ||H||_2 = max |lambda|
+    comes from the same eigenvalues.
+    """
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatchError("is_psd: matrix must be square")
-    if not is_hermitian(h, tol):
-        return False
-    w = np.linalg.eigvalsh((h + h.conj().T) / 2)
-    return bool(w.min() >= -tol.abs * (1 + operator_norm(h)))
+    w = np.linalg.eigvalsh((h + h.conj().T) / 2)  # ascending
+    mineig = float(w[0])
+    threshold = -tol.abs * (1 + max(-mineig, float(w[-1])))
+    return PsdVerdict(is_hermitian(h, tol) and mineig >= threshold, mineig, threshold)
+
+
+def is_psd(h, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Positive semidefiniteness: Hermitian within tol and min eigenvalue
+    >= -tol.abs * (1 + operator norm of the Hermitian part)."""
+    return psd_check(h, tol).passed
 
 
 def min_eigenvalue(h) -> float:

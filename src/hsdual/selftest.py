@@ -27,6 +27,7 @@ from .linalg import (
 from .superop import (
     HSMap,
     choi_map,
+    kraus_apply,
     kraus_to_r,
     kraus_to_r_kron,
     lift_r,
@@ -235,6 +236,14 @@ def suite_superop(seed: int) -> list[PropertyResult]:
         dev_kr = max(dev_kr, np.abs(r_probe - r_kron).max())
         dev_kr = max(dev_kr, np.abs(r_alpha - r_kron).max())
     out.append(PropertyResult("kraus-to-lift-dual-construction", dev_kr, 1e-10))
+
+    dev_closed = 0.0
+    for _ in range(10):
+        d = int(rng.integers(1, 6))
+        ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
+        basis = Basis(random_unitary_from(d, rng))
+        dev_closed = max(dev_closed, np.abs(kraus_to_r_kron(ms, basis) - kraus_to_r(ms, basis)).max())
+    out.append(PropertyResult("kraus-to-r-closed-form-random-basis", dev_closed, 1e-10))
     return out
 
 
@@ -274,6 +283,16 @@ def suite_choi(seed: int) -> list[PropertyResult]:
         dev_psd = max(dev_psd, max(0.0, -min_eigenvalue(c)))
         dev_psd = max(dev_psd, 0.0 if is_psd(c, Tolerance()) else 1.0)
     out.append(PropertyResult("choi-positivity-of-kraus-channels", dev_psd, 1e-10))
+
+    dev_closed = 0.0
+    for _ in range(10):
+        d = int(rng.integers(1, 6))
+        ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
+        probe_map = HSMap(d, d, lambda a, ms=ms: kraus_apply(ms, a))  # no Kraus list: probed
+        for b in (Basis.standard(d), Basis(random_unitary_from(d, rng))):
+            closed = choi_map(HSMap.from_kraus(ms), b)
+            dev_closed = max(dev_closed, np.abs(closed - choi_map(probe_map, b)).max())
+    out.append(PropertyResult("choi-closed-form-vs-probe", dev_closed, 1e-10))
     return out
 
 

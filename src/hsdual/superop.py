@@ -14,6 +14,23 @@ Kraus convention used throughout: B(A) = sum_i M_i* A M_i, trace preserving
 when sum_i M_i M_i* = I.  This is the adjoint of the other common convention
 B(A) = sum_i M_i A M_i*; mind the stars when importing channels from
 elsewhere.
+
+Each conversion from a Kraus list has one closed-form production path, an
+index rearrangement of the stacked blocks (Wood, Biamonte and Cory,
+arXiv:1111.6950, sec. 3).  With J = U U^T for the basis U (J = I for the
+standard basis), both cost O(k d^4) for k blocks of size d:
+
+* Kraus -> R (``kraus_to_r_kron``, behind ``SuperOp.from_kraus``):
+  R = sum_k (J M_k^T conj(J)) (x) M_k^*, one batched product;
+* Kraus -> Choi (``kraus_to_choi``, taken by ``choi_map`` for maps built
+  with ``HSMap.from_kraus``): C = V V^*, where column k of the d^2 x k matrix
+  V is the row-major flattening of J conj(M_k).
+
+The paper's constructions are kept as independent oracles for the tests:
+``kraus_to_r`` (columnwise through ``m_alpha`` and ``vec_t``), the probe
+``lift_r`` and the probe ``choi_map`` of a map without a Kraus list, e.g.
+``HSMap(d, d, lambda a: kraus_apply(ms, a))``.  Every dense d^2 x d^2 result
+is refused above ``MAX_KRON_ENTRIES`` entries (``guard_entries``).
 """
 
 from __future__ import annotations
@@ -30,6 +47,7 @@ from .linalg import (
     adjoint,
     as_matrix,
     as_vector,
+    guard_entries,
     is_psd,
     kron,
 )
@@ -63,10 +81,17 @@ def kraus_apply(ms: Sequence[np.ndarray], a) -> np.ndarray:
 class HSMap:
     """A linear map on d2 x d1 operators, with a concrete apply action."""
 
-    def __init__(self, d1: int, d2: int, apply_fn: Callable[[np.ndarray], np.ndarray]):
+    def __init__(
+        self,
+        d1: int,
+        d2: int,
+        apply_fn: Callable[[np.ndarray], np.ndarray],
+        kraus: list[np.ndarray] | None = None,
+    ):
         self.d1 = d1
         self.d2 = d2
         self._apply = apply_fn
+        self.kraus = kraus  # set when the map is a Kraus channel
 
     def __call__(self, a) -> np.ndarray:
         a = as_matrix(a)
@@ -86,7 +111,7 @@ class HSMap:
     def from_kraus(cls, ms: Sequence[np.ndarray]) -> "HSMap":
         ms = _check_kraus(ms)
         d = ms[0].shape[0]
-        return cls(d, d, lambda a: kraus_apply(ms, a))
+        return cls(d, d, lambda a: kraus_apply(ms, a), kraus=ms)
 
     @classmethod
     def sandwich(cls, m, n) -> "HSMap":
@@ -138,7 +163,7 @@ class SuperOp:
 
     @staticmethod
     def from_kraus(ms: Sequence[np.ndarray], basis: Basis) -> "SuperOp":
-        return SuperOp(kraus_to_r(ms, basis), BasisPair(basis, basis))
+        return SuperOp(kraus_to_r_kron(ms, basis), BasisPair(basis, basis))
 
     def as_hsmap(self) -> HSMap:
         return lower_s(self.rmatrix, self.bases)
@@ -195,8 +220,9 @@ def kraus_to_r(ms: Sequence[np.ndarray], basis: Basis) -> np.ndarray:
     """R-matrix of a Kraus channel, built columnwise as
     alpha -> sum_s phi_s (x) (M_alpha phi_s).
 
-    Independent of lift_r(HSMap.from_kraus(ms), ...); the two constructions
-    are cross-checked in the test suite.
+    The paper's construction, O(d^2) Python iterations; kept as an oracle.
+    Independent of lift_r(HSMap.from_kraus(ms), ...) and of kraus_to_r_kron;
+    the three are cross-checked in the test suite.
     """
     ms = _check_kraus(ms)
     d = basis.dim
@@ -208,15 +234,53 @@ def kraus_to_r(ms: Sequence[np.ndarray], basis: Basis) -> np.ndarray:
     return out
 
 
-def kraus_to_r_kron(ms: Sequence[np.ndarray]) -> np.ndarray:
-    """Closed Kronecker form of the R-matrix in the standard basis:
-    sum_i transpose(M_i) (x) adjoint(M_i)."""
-    ms = _check_kraus(ms)
-    d = ms[0].shape[0]
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for m in ms:
-        out += kron(m.T, m.conj().T)
-    return out
+def _stack_kraus(ms: Sequence[np.ndarray], basis: Basis | None, what: str) -> np.ndarray:
+    """The Kraus blocks as one k x d x d array, with the d^4 cap enforced."""
+    m = np.stack(_check_kraus(ms))
+    d = m.shape[1]
+    if basis is not None and basis.dim != d:
+        raise DimensionMismatchError(f"{what}: basis dimension {basis.dim} != Kraus dimension {d}")
+    guard_entries(d**4, what)
+    return m
+
+
+def kraus_to_r_kron(ms: Sequence[np.ndarray], basis: Basis | None = None) -> np.ndarray:
+    """Closed Kronecker form of the R-matrix:
+    sum_k (J M_k^T conj(J)) (x) M_k^*, with J = U U^T for the basis U
+    (J = I for the standard basis, the default).
+
+    The production Kraus -> R path: the k Kronecker products are summed by one
+    (d^2 x k) @ (k x d^2) product and an index reshuffle, O(k d^4).
+    """
+    m = _stack_kraus(ms, basis, "R-matrix")
+    k, d, _ = m.shape
+    left = m.transpose(0, 2, 1)
+    if basis is not None and not basis.is_standard:
+        j = basis.conjugation
+        left = j @ left @ j.conj()
+    right = m.conj().transpose(0, 2, 1)
+    # R[(a, b), (c, e)] = sum_k left[k, a, c] * right[k, b, e]
+    r = left.reshape(k, d * d).T @ right.reshape(k, d * d)
+    return r.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def kraus_to_choi(ms: Sequence[np.ndarray], basis: Basis, normalize: bool = False) -> np.ndarray:
+    """Closed form of the Choi matrix of a Kraus channel: C = V V^*, where
+    column k of V is the row-major flattening of J conj(M_k), J = U U^T.
+
+    The production Kraus -> Choi path, one d^2 x k x d^2 product.  Equals
+    choi_map of the same channel given without its Kraus list.
+    """
+    m = _stack_kraus(ms, basis, "Choi matrix")
+    k, d, _ = m.shape
+    w = m.conj()
+    if not basis.is_standard:
+        w = basis.conjugation @ w
+    w = w.reshape(k, d * d)
+    c = w.T @ w.conj()
+    if normalize:
+        c /= d
+    return c
 
 
 def choi_map(b: HSMap, basis: Basis, normalize: bool = False) -> np.ndarray:
@@ -224,11 +288,15 @@ def choi_map(b: HSMap, basis: Basis, normalize: bool = False) -> np.ndarray:
 
     Defined for the square case only; the reference vector
     sum_j phi_j (x) phi_j is kept unnormalized unless ``normalize`` is set,
-    which divides the result by the dimension.
+    which divides the result by the dimension.  A map that carries a Kraus
+    list takes the closed form kraus_to_choi; any other map is probed on the
+    d^2 matrix units (the paper's construction, the oracle for the tests).
     """
     d = basis.dim
     if (b.d1, b.d2) != (d, d):
         raise DimensionMismatchError("choi_map: requires a square map matching the basis")
+    if b.kraus is not None:
+        return kraus_to_choi(b.kraus, basis, normalize)
     n = d * d
     out = np.zeros((n, n), dtype=complex)
     for i in range(d):

@@ -5,11 +5,18 @@ is stored as a d2 x d1 matrix.  Its vectorization lives in H1 (x) H2 with the
 flat-index convention: the component of phi (x) psi at index j*d2 + i equals
 phi[j] * psi[i] (first factor index-major), so with standard bases the
 vectorization of A is exactly column-stacking of A.
+
+With standard bases vec_j, devec_jstar and partial_slice are reshapes of the
+data and allocate nothing of size (d1*d2)^2.  Other bases go through
+kron(U1, U2), so they are bounded by MAX_KRON_ENTRIES (d1*d2 <= 1024).
+vec_t (sum_j phi_j (x) A phi_j) and devec_via_slices (sum_j |P_j alpha><phi_j|)
+are independent constructions that the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +34,11 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class Basis:
-    """Orthonormal basis of C^d: a unitary whose columns are the basis vectors."""
+    """Orthonormal basis of C^d: a unitary whose columns are the basis vectors.
+
+    ``u`` is treated as immutable: ``is_standard`` and ``conjugation`` are
+    computed once per basis.
+    """
 
     u: np.ndarray
 
@@ -46,9 +57,16 @@ class Basis:
     def column(self, i: int) -> np.ndarray:
         return self.u[:, i].copy()
 
-    @property
+    @cached_property
     def is_standard(self) -> bool:
         return bool(np.array_equal(self.u, np.eye(self.dim)))
+
+    @cached_property
+    def conjugation(self) -> np.ndarray:
+        """J = U U^T: the conjugation fixing the basis columns is phi -> J conj(phi)."""
+        if self.is_standard:
+            return np.eye(self.dim, dtype=complex)
+        return self.u @ self.u.T
 
     @staticmethod
     def standard(d: int) -> "Basis":
@@ -116,6 +134,10 @@ def _check_bipartite(alpha, bases: BasisPair) -> np.ndarray:
     return alpha
 
 
+def _standard(bases: BasisPair) -> bool:
+    return bases.b1.is_standard and bases.b2.is_standard
+
+
 def conjugate_in_basis(basis: Basis, phi) -> np.ndarray:
     """Antilinear conjugation fixing the basis columns: sum_i <phi, u_i> u_i.
 
@@ -133,17 +155,18 @@ def vec_j(a, bases: BasisPair) -> np.ndarray:
     With standard bases this is column-stacking of the matrix of A.
     """
     a = _check_operator(a, bases)
+    if _standard(bases):
+        return a.flatten(order="F")  # column-stack: index j*d2 + i
     coeff = bases.b2.u.conj().T @ a @ bases.b1.u  # coeff[i, j] = <psi_i, A phi_j>
-    flat = coeff.T.reshape(-1)  # column-stack: index j*d2 + i
-    if bases.b1.is_standard and bases.b2.is_standard:
-        return flat
-    return kron(bases.b1.u, bases.b2.u) @ flat
+    return kron(bases.b1.u, bases.b2.u) @ coeff.T.reshape(-1)
 
 
 def devec_jstar(alpha, bases: BasisPair) -> np.ndarray:
     """Inverse of vec_j: sum <phi_j (x) psi_i, alpha> |psi_i><phi_j|."""
     alpha = _check_bipartite(alpha, bases)
     d1, d2 = bases.d1, bases.d2
+    if _standard(bases):
+        return alpha.reshape(d1, d2).T.copy()
     beta = adjoint(kron(bases.b1.u, bases.b2.u)) @ alpha
     coeff = beta.reshape(d1, d2).T  # coeff[i, j] = <phi_j (x) psi_i, alpha>
     return bases.b2.u @ coeff @ bases.b1.u.conj().T
@@ -173,6 +196,8 @@ def partial_slice(i: int, alpha, bases: BasisPair) -> np.ndarray:
     if not 0 <= i < bases.d1:
         raise IndexError(f"partial_slice: index {i} out of range for d1={bases.d1}")
     d2 = bases.d2
+    if _standard(bases):
+        return alpha[i * d2 : (i + 1) * d2].copy()
     beta = adjoint(kron(bases.b1.u, bases.b2.u)) @ alpha
     return bases.b2.u @ beta[i * d2 : (i + 1) * d2]
 

@@ -259,3 +259,57 @@ def test_max_dim_guard(cli, tmp_path, monkeypatch):
     path = write_matrix(tmp_path / "m.json", np.eye(3))
     code, _, _ = cli("vec", path)
     assert code == 3
+
+
+def test_max_dim_env_must_be_a_positive_integer(cli, tmp_path, monkeypatch):
+    path = write_matrix(tmp_path / "m.json", np.eye(2))
+    for bad in ("abc", "0", "-3", ""):
+        monkeypatch.setenv("HSDUAL_MAX_DIM", bad)
+        code, out, err = cli("vec", path)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "HSDUAL_MAX_DIM" in err
+
+
+def test_negative_digits_exits_2(cli, tmp_path):
+    path = write_matrix(tmp_path / "m.json", np.eye(2))
+    ch = write_channel(tmp_path / "id.json", [np.eye(2)])
+    for argv in (("vec", path), ("check", ch), ("choi", ch)):
+        code, out, err = cli(*argv, "--digits", "-1")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "--digits" in err
+    assert cli("vec", path, "--digits", "0")[0] == 0
+
+
+def test_schmidt_64x64(cli, tmp_path):
+    rng = np.random.default_rng(64)
+    lam = np.array([1.5, 1.25, 1.0, 0.75, 0.5])
+    x = np.linalg.qr(rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5)))[0]
+    y = np.linalg.qr(rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5)))[0]
+    alpha = sum(lam[i] * np.kron(x[:, i], y[:, i]) for i in range(5))
+    code, out, err = cli("schmidt", write_matrix(tmp_path / "s.json", alpha), "--d1", "64", "--d2", "64")
+    assert code == 0, err
+    lines = out.splitlines()
+    got = np.array([float(t) for t in lines[0].split(": ")[1].split()])
+    assert got.shape == (64,)
+    assert np.abs(got[:5] - lam).max() < 1e-10 and np.abs(got[5:]).max() < 1e-10
+    assert lines[1:] == ["rank: 5", "entangled: yes"]
+
+
+def test_superoperator_commands_capped_at_d33(cli, tmp_path):
+    ch = write_channel(tmp_path / "d33.json", [np.eye(33)])
+    for argv in (("compose", ch), ("compose", ch, ch), ("choi", ch), ("check", ch, "--cp")):
+        code, out, err = cli(*argv)
+        assert code == 3 and out == ""
+        assert "would have 1185921 entries" in err
+    code, out, _ = cli("check", ch, "--tp")  # no superoperator is built
+    assert code == 0 and out.startswith("tp: PASS")
+
+
+def test_compose_single_channel_is_its_r_matrix(cli, tmp_path):
+    from hsdual.selftest import random_tp_kraus
+    from hsdual.superop import kraus_to_r_kron
+
+    ms = random_tp_kraus(3, 2, np.random.default_rng(5))
+    code, out, _ = cli("compose", write_channel(tmp_path / "c.json", ms))
+    assert code == 0
+    assert out == format_matrix(kraus_to_r_kron(ms))

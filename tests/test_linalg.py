@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hsdual.linalg import (
+    MAX_KRON_ENTRIES,
     DimensionMismatchError,
     Tolerance,
     adjoint,
@@ -9,9 +10,12 @@ from hsdual.linalg import (
     hermitian_eig,
     hs_inner,
     inner,
+    guard_entries,
     is_psd,
     kron,
+    min_eigenvalue,
     operator_norm,
+    psd_check,
     random_unitary,
     svd,
 )
@@ -208,3 +212,28 @@ def test_random_unitary():
     assert np.abs(adjoint(u) @ u - np.eye(5)).max() < 1e-12
     assert np.array_equal(u, random_unitary(5, 42))  # deterministic
     assert not np.array_equal(u, random_unitary(5, 43))
+
+
+def test_guard_entries_shared_cap():
+    guard_entries(MAX_KRON_ENTRIES, "x")
+    with pytest.raises(DimensionMismatchError, match="thing would have"):
+        guard_entries(MAX_KRON_ENTRIES + 1, "thing")
+    with pytest.raises(DimensionMismatchError, match="kron result would have"):
+        kron(np.eye(1025), np.eye(1025))
+
+
+def test_psd_check_verdict_fields():
+    rng = np.random.default_rng(44)
+    m = complex_gaussian(5, 3, rng)
+    h = m @ adjoint(m)  # PSD of rank 3
+    v = psd_check(h)
+    assert v.passed and v.passed == is_psd(h)
+    assert v.min_eigenvalue == min_eigenvalue(h)
+    # The threshold scales with the norm of the Hermitian part, max |eigenvalue|.
+    assert abs(v.threshold + 1e-10 * (1 + operator_norm(h))) < 1e-20 * (1 + operator_norm(h))
+    neg = psd_check(np.diag([2.0, -3.0]))
+    assert not neg.passed and neg.min_eigenvalue == -3.0 and neg.threshold == -1e-10 * 4
+    skew = psd_check(np.array([[1, 1], [0, 1]], dtype=complex))
+    assert not skew.passed  # not Hermitian, whatever the spectrum of its Hermitian part
+    with pytest.raises(DimensionMismatchError):
+        psd_check(np.ones((2, 3)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hsdual.linalg import (
+    MAX_KRON_ENTRIES,
     DimensionMismatchError,
     Tolerance,
     adjoint,
@@ -22,6 +23,7 @@ from hsdual.superop import (
     choi_of_vector,
     compose,
     kraus_apply,
+    kraus_to_choi,
     kraus_to_r,
     kraus_to_r_kron,
     lift_r,
@@ -342,3 +344,64 @@ def test_hsmap_linearity():
     a2 = complex_gaussian(2, 2, rng)
     x, y = 1.5 - 0.5j, -2j
     assert np.abs(b(x * a1 + y * a2) - (x * b(a1) + y * b(a2))).max() < 1e-10
+
+
+CLOSED_FORM_CASES = [(d, k) for d in (1, 2, 3, 5, 8) for k in (1, 2, 5)]
+
+
+def _kraus_and_bases(d, k, seed):
+    rng = np.random.default_rng(seed)
+    ms = [complex_gaussian(d, d, rng) for _ in range(k)]  # not TP: the forms are linear in each block
+    return ms, (Basis.standard(d), Basis.random(d, seed))
+
+
+@pytest.mark.parametrize("d,k", CLOSED_FORM_CASES)
+def test_closed_form_r_matches_oracles(d, k):
+    ms, bases = _kraus_and_bases(d, k, 100 * d + k)
+    for basis in bases:
+        r = kraus_to_r_kron(ms, basis)
+        scale = 1 + np.abs(r).max()
+        assert np.abs(r - kraus_to_r(ms, basis)).max() <= 1e-12 * scale
+        assert np.abs(r - lift_r(HSMap.from_kraus(ms), BasisPair(basis, basis))).max() <= 1e-12 * scale
+        assert np.array_equal(SuperOp.from_kraus(ms, basis).rmatrix, r)
+
+
+@pytest.mark.parametrize("d,k", CLOSED_FORM_CASES)
+def test_closed_form_choi_matches_probe(d, k):
+    ms, bases = _kraus_and_bases(d, k, 200 * d + k)
+    probe_map = HSMap(d, d, lambda a: kraus_apply(ms, a))  # no Kraus list: choi_map probes
+    assert probe_map.kraus is None
+    for basis in bases:
+        for normalize in (False, True):
+            c = choi_map(HSMap.from_kraus(ms), basis, normalize=normalize)
+            probe = choi_map(probe_map, basis, normalize=normalize)
+            assert np.abs(c - probe).max() <= 1e-12 * (1 + np.abs(probe).max())
+            assert np.array_equal(c, kraus_to_choi(ms, basis, normalize))
+
+
+def test_closed_form_choi_is_reshuffled_r():
+    # C[(i,a),(j,b)] = R[(b,a),(j,i)] in the standard basis.
+    rng = np.random.default_rng(22)
+    d = 4
+    ms = random_tp_kraus(d, 3, rng)
+    r = kraus_to_r_kron(ms)
+    reshuffled = r.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    assert np.abs(kraus_to_choi(ms, Basis.standard(d)) - reshuffled).max() < 1e-14
+
+
+def test_superoperator_cap_refuses_d33():
+    d = 33
+    assert d**4 > MAX_KRON_ENTRIES >= 32**4
+    ms = [np.eye(d, dtype=complex)]
+    with pytest.raises(DimensionMismatchError, match="R-matrix would have"):
+        SuperOp.from_kraus(ms, Basis.standard(d))
+    with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
+        choi_map(HSMap.from_kraus(ms), Basis.standard(d))
+    assert kraus_to_r_kron([np.eye(32, dtype=complex)]).shape == (1024, 1024)
+
+
+def test_closed_forms_reject_basis_of_other_dimension():
+    with pytest.raises(DimensionMismatchError):
+        kraus_to_r_kron([np.eye(2)], Basis.standard(3))
+    with pytest.raises(DimensionMismatchError):
+        kraus_to_choi([np.eye(2)], Basis.standard(3))

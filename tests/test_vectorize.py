@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsdual.linalg import DimensionMismatchError, complex_gaussian, inner, hs_inner
+from hsdual.linalg import DimensionMismatchError, complex_gaussian, inner, hs_inner, kron
 from hsdual.vectorize import (
     Basis,
     BasisPair,
@@ -248,3 +248,53 @@ def test_dimension_mismatches_raise():
         devec_jstar(np.zeros(5), bases)
     with pytest.raises(DimensionMismatchError):
         conjugate_in_basis(Basis.standard(2), np.zeros(3))
+
+
+BASIS_CHANGE_SHAPES = [(1, 1), (2, 2), (3, 3), (5, 5), (8, 8), (1, 3), (3, 1), (2, 5), (8, 3), (5, 8)]
+
+
+@pytest.mark.parametrize("d1,d2", BASIS_CHANGE_SHAPES)
+def test_basis_changes_match_kron_formulas(d1, d2):
+    rng = np.random.default_rng(10 * d1 + d2)
+    for bases in (BasisPair.standard(d1, d2), rand_pair(d1, d2, d1 + 7 * d2)):
+        w = kron(bases.b1.u, bases.b2.u)
+        a = complex_gaussian(d2, d1, rng)
+        alpha = complex_gaussian(d1 * d2, 1, rng)[:, 0]
+        coeff = bases.b2.u.conj().T @ a @ bases.b1.u
+        assert np.abs(vec_j(a, bases) - w @ coeff.T.reshape(-1)).max() < 1e-13
+        assert np.abs(vec_j(a, bases) - vec_t(a, bases.b1)).max() < 1e-13
+        beta = w.conj().T @ alpha
+        devec_ref = bases.b2.u @ beta.reshape(d1, d2).T @ bases.b1.u.conj().T
+        assert np.abs(devec_jstar(alpha, bases) - devec_ref).max() < 1e-13
+        assert np.abs(devec_jstar(alpha, bases) - devec_via_slices(alpha, bases)).max() < 1e-13
+        for i in range(d1):
+            slice_ref = bases.b2.u @ beta[i * d2 : (i + 1) * d2]
+            assert np.abs(partial_slice(i, alpha, bases) - slice_ref).max() < 1e-13
+
+
+def test_basis_conjugation_matrix():
+    b = Basis.random(4, 3)
+    assert np.abs(b.conjugation - b.u @ b.u.T).max() == 0
+    phi = complex_gaussian(4, 1, np.random.default_rng(4))[:, 0]
+    assert np.abs(b.conjugation @ phi.conj() - conjugate_in_basis(b, phi)).max() < 1e-13
+    assert np.array_equal(Basis.standard(3).conjugation, np.eye(3))
+
+
+def test_standard_basis_changes_are_exact_and_fresh():
+    a = np.array([[1.5, -0.0], [0.25, 4.0 + 1j], [2.0, -3.0]])
+    bases = BasisPair.standard(2, 3)
+    v = vec_j(a, bases)
+    assert np.array_equal(v, a.T.reshape(-1))
+    back = devec_jstar(v, bases)
+    assert np.array_equal(back, a)
+    v[0] = 99  # results never alias their inputs
+    assert a[0, 0] == 1.5 and back[0, 0] == 1.5
+
+
+def test_standard_basis_changes_build_no_kron():
+    # d1 * d2 = 4096: kron(I, I) would have 2^24 entries, above the cap.
+    bases = BasisPair.standard(64, 64)
+    a = complex_gaussian(64, 64, np.random.default_rng(12))
+    alpha = vec_j(a, bases)
+    assert np.array_equal(devec_jstar(alpha, bases), a)
+    assert np.array_equal(partial_slice(5, alpha, bases), a[:, 5])
