@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_KRON_ENTRIES, complex_gaussian, hs_norm
-from .superop import kraus_apply, kraus_to_r_kron
+from .linalg import complex_gaussian, guard_entries, hs_norm
+from .superop import kraus_apply, kraus_to_r_kron, random_tp_kraus
 from .vectorize import BasisPair, devec_jstar, vec_j
 
 CSV_COLUMNS = ["dim", "kraus_rank", "chain_length", "t_rmatrix_ns", "t_nested_ns", "max_deviation", "seed"]
@@ -36,8 +36,7 @@ class BenchConfig:
         for field in ("dim", "kraus_rank", "chain_length", "trials"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"BenchConfig.{field} must be positive")
-        if self.dim**4 > MAX_KRON_ENTRIES:
-            raise ValueError("BenchConfig.dim too large for the dense representation")
+        guard_entries(self.dim**4, "R-matrix")
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,6 @@ def _median_ns(fn, trials: int) -> int:
 
 
 def run_bench(cfg: BenchConfig) -> BenchReport:
-    from .selftest import random_tp_kraus  # local import: selftest imports this module
-
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     chains = [random_tp_kraus(cfg.dim, cfg.kraus_rank, rng) for _ in range(cfg.chain_length)]

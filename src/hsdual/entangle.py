@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_matrix, as_vector, kron, svd
+from .linalg import DimensionMismatchError, as_vector, kron, svd
 from .superop import HSMap, lower_s
-from .vectorize import Basis, BasisPair, conjugate_in_basis, devec_jstar
+from .vectorize import BasisPair, conjugate_in_basis, devec_jstar
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ def rank_from_lambdas(lambdas: np.ndarray, cutoff: float | None) -> int:
 
 def schmidt(alpha, bases: BasisPair) -> SchmidtResult:
     """Schmidt decomposition of a bipartite vector relative to the given bases."""
-    alpha = as_vector(alpha)
-    if alpha.shape[0] != bases.d1 * bases.d2:
-        raise DimensionMismatchError("schmidt: vector length != d1*d2")
     a = devec_jstar(alpha, bases)
     w, s, x = svd(a)  # a == w @ diag(s) @ x.conj().T
     # Phase convention: first nonzero component of each x-column made real

@@ -138,21 +138,30 @@ def operator_norm(a) -> float:
 
 
 @dataclass(frozen=True)
-class PsdVerdict:
-    """Outcome of psd_check: passed iff Hermitian within tol and
-    min_eigenvalue >= threshold."""
+class Verdict:
+    """Outcome of a PASS/FAIL check: the measured value (a least eigenvalue
+    or a deviation) and the threshold it was held to."""
 
     passed: bool
-    min_eigenvalue: float
+    value: float
     threshold: float
 
+    @classmethod
+    def at_most(cls, value: float, threshold: float) -> "Verdict":
+        """Pass iff value <= threshold (a deviation under its bound)."""
+        return cls(value <= threshold, value, threshold)
 
-def psd_check(h, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
+    @property
+    def status(self) -> str:
+        return "PASS" if self.passed else "FAIL"
+
+
+def psd_check(h, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Positive semidefiniteness from one eigendecomposition.
 
     h must be Hermitian within tol, and the least eigenvalue of its Hermitian
-    part H must be >= -tol.abs * (1 + ||H||_2), where ||H||_2 = max |lambda|
-    comes from the same eigenvalues.
+    part H (the verdict's value) must be >= -tol.abs * (1 + ||H||_2), where
+    ||H||_2 = max |lambda| comes from the same eigenvalues.
     """
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
@@ -160,7 +169,7 @@ def psd_check(h, tol: Tolerance = DEFAULT_TOL) -> PsdVerdict:
     w = np.linalg.eigvalsh((h + h.conj().T) / 2)  # ascending
     mineig = float(w[0])
     threshold = -tol.abs * (1 + max(-mineig, float(w[-1])))
-    return PsdVerdict(is_hermitian(h, tol) and mineig >= threshold, mineig, threshold)
+    return Verdict(is_hermitian(h, tol) and mineig >= threshold, mineig, threshold)
 
 
 def is_psd(h, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -1,27 +1,26 @@
 """Executable property suites behind the ``selftest`` CLI subcommand.
 
 Every property measures a worst-case numerical deviation over seeded random
-instances and compares it against a fixed threshold.  Runs are deterministic
-for a given seed.
+instances and holds it to a fixed threshold (``Verdict.at_most``).  Each suite
+returns its verdicts by property name.  Runs are deterministic for a given
+seed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bench as bench_mod
 from .linalg import (
-    Tolerance,
+    Verdict,
     adjoint,
     complex_gaussian,
     hs_inner,
     inner,
-    is_psd,
     kron,
     min_eigenvalue,
     operator_norm,
+    psd_check,
     random_unitary_from,
 )
 from .superop import (
@@ -32,7 +31,7 @@ from .superop import (
     kraus_to_r_kron,
     lift_r,
     lower_s,
-    tp_deviation,
+    random_tp_kraus,
 )
 from .vectorize import (
     Basis,
@@ -42,40 +41,19 @@ from .vectorize import (
     devec_via_slices,
     partial_slice,
     partial_slice_adjoint,
-    phi_plus,
     vec_j,
     vec_t,
 )
 from .entangle import schmidt, schmidt_rank
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    deviation: float
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= self.threshold
-
-
 def _random_pair(d1: int, d2: int, rng) -> BasisPair:
     return BasisPair(Basis(random_unitary_from(d1, rng)), Basis(random_unitary_from(d2, rng)))
 
 
-def random_tp_kraus(d: int, rank: int, rng) -> list[np.ndarray]:
-    """Random trace-preserving Kraus list: sum_i M_i M_i* == I by construction."""
-    gs = [complex_gaussian(d, d, rng) for _ in range(rank)]
-    total = sum(g @ g.conj().T for g in gs)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return [inv_sqrt @ g for g in gs]
-
-
-def suite_vectorize(seed: int) -> list[PropertyResult]:
+def suite_vectorize(seed: int) -> dict[str, Verdict]:
     rng = np.random.default_rng(seed)
-    out = []
+    out = {}
 
     dev_iso = dev_inv = 0.0
     for d1, d2 in [(2, 2), (3, 2), (4, 4), (8, 8)]:
@@ -89,8 +67,8 @@ def suite_vectorize(seed: int) -> list[PropertyResult]:
             dev_inv = max(dev_inv, np.abs(devec_jstar(vec_j(a, bases), bases) - a).max())
             alpha = complex_gaussian(d1 * d2, 1, rng)[:, 0]
             dev_inv = max(dev_inv, np.abs(vec_j(devec_jstar(alpha, bases), bases) - alpha).max())
-    out.append(PropertyResult("isometry-of-vectorization", dev_iso, 1e-10))
-    out.append(PropertyResult("vec-devec-inverse-pair", dev_inv, 1e-12))
+    out["isometry-of-vectorization"] = Verdict.at_most(dev_iso, 1e-10)
+    out["vec-devec-inverse-pair"] = Verdict.at_most(dev_inv, 1e-12)
 
     dev_k = 0.0
     for d in (2, 5, 8):
@@ -106,7 +84,7 @@ def suite_vectorize(seed: int) -> list[PropertyResult]:
         u = random_unitary_from(d, rng)
         kcols = np.column_stack([conjugate_in_basis(b, u[:, i]) for i in range(d)])
         dev_k = max(dev_k, np.abs(kcols.conj().T @ kcols - np.eye(d)).max())
-    out.append(PropertyResult("conjugation-involution-and-antiunitarity", dev_k, 1e-12))
+    out["conjugation-involution-and-antiunitarity"] = Verdict.at_most(dev_k, 1e-12)
 
     dev_rec = 0.0
     for _ in range(10):
@@ -119,7 +97,7 @@ def suite_vectorize(seed: int) -> list[PropertyResult]:
                 coeff = inner(bases.b2.column(i), a @ bases.b1.column(j))
                 rebuilt += coeff * np.outer(bases.b2.column(i), np.conj(bases.b1.column(j)))
         dev_rec = max(dev_rec, np.abs(rebuilt - a).max())
-    out.append(PropertyResult("operator-reconstruction-from-coefficients", dev_rec, 1e-12))
+    out["operator-reconstruction-from-coefficients"] = Verdict.at_most(dev_rec, 1e-12)
 
     dev_bc = 0.0
     for _ in range(10):
@@ -136,7 +114,7 @@ def suite_vectorize(seed: int) -> list[PropertyResult]:
                     conjugate_in_basis(primed.b1, bases.b1.column(j)), bases.b2.column(i)
                 )
         dev_bc = max(dev_bc, np.abs(direct - total).max())
-    out.append(PropertyResult("basis-change-via-conjugation", dev_bc, 1e-10))
+    out["basis-change-via-conjugation"] = Verdict.at_most(dev_bc, 1e-10)
 
     dev_sl = 0.0
     for _ in range(10):
@@ -163,13 +141,13 @@ def suite_vectorize(seed: int) -> list[PropertyResult]:
         dev_sl = max(dev_sl, np.abs(devec_via_slices(alpha, bases) - devec_jstar(alpha, bases)).max())
         a = complex_gaussian(d2, d1, rng)
         dev_sl = max(dev_sl, np.abs(vec_t(a, bases.b1) - vec_j(a, BasisPair(bases.b1, Basis.standard(d2))) ).max())
-    out.append(PropertyResult("slice-operators-and-alternative-devec", dev_sl, 1e-12))
+    out["slice-operators-and-alternative-devec"] = Verdict.at_most(dev_sl, 1e-12)
     return out
 
 
-def suite_superop(seed: int) -> list[PropertyResult]:
+def suite_superop(seed: int) -> dict[str, Verdict]:
     rng = np.random.default_rng(seed)
-    out = []
+    out = {}
 
     dev_mult = dev_adj = dev_norm = dev_unit = dev_rt = 0.0
     for d in (2, 3):
@@ -190,11 +168,11 @@ def suite_superop(seed: int) -> list[PropertyResult]:
             probe = complex_gaussian(d, d, rng)
             dev_rt = max(dev_rt, np.abs(low(probe) - b1(probe)).max())
         dev_unit = max(dev_unit, np.abs(lift_r(HSMap.identity(d, d), bases) - np.eye(n)).max())
-    out.append(PropertyResult("lift-multiplicativity", dev_mult, 1e-8))
-    out.append(PropertyResult("lift-adjoint-preservation", dev_adj, 1e-8))
-    out.append(PropertyResult("lift-norm-preservation", dev_norm, 1e-8))
-    out.append(PropertyResult("lift-unit-preservation", dev_unit, 1e-12))
-    out.append(PropertyResult("lift-lower-round-trip", dev_rt, 1e-12))
+    out["lift-multiplicativity"] = Verdict.at_most(dev_mult, 1e-8)
+    out["lift-adjoint-preservation"] = Verdict.at_most(dev_adj, 1e-8)
+    out["lift-norm-preservation"] = Verdict.at_most(dev_norm, 1e-8)
+    out["lift-unit-preservation"] = Verdict.at_most(dev_unit, 1e-12)
+    out["lift-lower-round-trip"] = Verdict.at_most(dev_rt, 1e-12)
 
     dev_hs = 0.0
     for _ in range(20):
@@ -205,7 +183,7 @@ def suite_superop(seed: int) -> list[PropertyResult]:
         lhs = hs_inner(lift_r(HSMap.from_matrix(m1, d, d), bases), lift_r(HSMap.from_matrix(m2, d, d), bases))
         rhs = hs_inner(m1, m2)
         dev_hs = max(dev_hs, abs(lhs - rhs) / (1 + abs(rhs)))
-    out.append(PropertyResult("lift-hs-inner-preservation", dev_hs, 1e-10))
+    out["lift-hs-inner-preservation"] = Verdict.at_most(dev_hs, 1e-10)
 
     dev_cp = 0.0
     for _ in range(10):
@@ -221,7 +199,7 @@ def suite_superop(seed: int) -> list[PropertyResult]:
                 r_ij = lift_r(HSMap.from_matrix(adjoint(amats[i]) @ amats[j], d, d), bases)
                 block += adjoint(bops[i]) @ r_ij @ bops[j]
         dev_cp = max(dev_cp, max(0.0, -min_eigenvalue(block) / (1 + operator_norm(block))))
-    out.append(PropertyResult("complete-positivity-block-psd", dev_cp, 1e-10))
+    out["complete-positivity-block-psd"] = Verdict.at_most(dev_cp, 1e-10)
 
     dev_kr = 0.0
     for _ in range(15):
@@ -235,7 +213,7 @@ def suite_superop(seed: int) -> list[PropertyResult]:
         dev_kr = max(dev_kr, np.abs(r_probe - r_alpha).max())
         dev_kr = max(dev_kr, np.abs(r_probe - r_kron).max())
         dev_kr = max(dev_kr, np.abs(r_alpha - r_kron).max())
-    out.append(PropertyResult("kraus-to-lift-dual-construction", dev_kr, 1e-10))
+    out["kraus-to-lift-dual-construction"] = Verdict.at_most(dev_kr, 1e-10)
 
     dev_closed = 0.0
     for _ in range(10):
@@ -243,20 +221,20 @@ def suite_superop(seed: int) -> list[PropertyResult]:
         ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
         basis = Basis(random_unitary_from(d, rng))
         dev_closed = max(dev_closed, np.abs(kraus_to_r_kron(ms, basis) - kraus_to_r(ms, basis)).max())
-    out.append(PropertyResult("kraus-to-r-closed-form-random-basis", dev_closed, 1e-10))
+    out["kraus-to-r-closed-form-random-basis"] = Verdict.at_most(dev_closed, 1e-10)
     return out
 
 
-def suite_choi(seed: int) -> list[PropertyResult]:
+def suite_choi(seed: int) -> dict[str, Verdict]:
     rng = np.random.default_rng(seed)
-    out = []
+    out = {}
     basis = Basis.standard(2)
 
     corner = np.zeros((4, 4), dtype=complex)
     for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
         corner[i, j] = 1
     c_id = choi_map(HSMap.identity(2, 2), basis)
-    out.append(PropertyResult("choi-of-identity-corner-ones", float(np.abs(c_id - corner).max()), 0.0))
+    out["choi-of-identity-corner-ones"] = Verdict.at_most(float(np.abs(c_id - corner).max()), 0.0)
 
     dev_iso = 0.0
     for _ in range(20):
@@ -265,24 +243,24 @@ def suite_choi(seed: int) -> list[PropertyResult]:
         lhs = hs_inner(choi_map(HSMap.from_matrix(m1, 2, 2), basis), choi_map(HSMap.from_matrix(m2, 2, 2), basis))
         rhs = hs_inner(m1, m2)
         dev_iso = max(dev_iso, abs(lhs - rhs) / (1 + abs(rhs)))
-    out.append(PropertyResult("choi-hs-isometry", dev_iso, 1e-10))
+    out["choi-hs-isometry"] = Verdict.at_most(dev_iso, 1e-10)
 
     # Non-multiplicativity exhibit: the identity map composed with itself.
     sep = float(operator_norm(c_id - c_id @ c_id))
-    out.append(PropertyResult("choi-non-multiplicative-exhibit", 0.0 if sep >= 0.1 else 1.0, 0.5))
+    out["choi-non-multiplicative-exhibit"] = Verdict.at_most(0.0 if sep >= 0.1 else 1.0, 0.5)
 
     transpose_map = HSMap(2, 2, lambda a: a.T.copy())
     dev_t = abs(min_eigenvalue(choi_map(transpose_map, basis)) + 1.0)
-    out.append(PropertyResult("choi-of-transpose-min-eigenvalue", dev_t, 1e-10))
+    out["choi-of-transpose-min-eigenvalue"] = Verdict.at_most(dev_t, 1e-10)
 
     dev_psd = 0.0
     for _ in range(20):
         d = int(rng.integers(2, 4))
         ms = random_tp_kraus(d, int(rng.integers(1, 4)), rng)
         c = choi_map(HSMap.from_kraus(ms), Basis.standard(d))
-        dev_psd = max(dev_psd, max(0.0, -min_eigenvalue(c)))
-        dev_psd = max(dev_psd, 0.0 if is_psd(c, Tolerance()) else 1.0)
-    out.append(PropertyResult("choi-positivity-of-kraus-channels", dev_psd, 1e-10))
+        v = psd_check(c)
+        dev_psd = max(dev_psd, -v.value, 0.0 if v.passed else 1.0)
+    out["choi-positivity-of-kraus-channels"] = Verdict.at_most(dev_psd, 1e-10)
 
     dev_closed = 0.0
     for _ in range(10):
@@ -292,13 +270,13 @@ def suite_choi(seed: int) -> list[PropertyResult]:
         for b in (Basis.standard(d), Basis(random_unitary_from(d, rng))):
             closed = choi_map(HSMap.from_kraus(ms), b)
             dev_closed = max(dev_closed, np.abs(closed - choi_map(probe_map, b)).max())
-    out.append(PropertyResult("choi-closed-form-vs-probe", dev_closed, 1e-10))
+    out["choi-closed-form-vs-probe"] = Verdict.at_most(dev_closed, 1e-10)
     return out
 
 
-def suite_entangle(seed: int) -> list[PropertyResult]:
+def suite_entangle(seed: int) -> dict[str, Verdict]:
     rng = np.random.default_rng(seed)
-    out = []
+    out = {}
 
     dev_rec = dev_norm = 0.0
     for _ in range(25):
@@ -313,8 +291,8 @@ def suite_entangle(seed: int) -> list[PropertyResult]:
         )
         dev_rec = max(dev_rec, np.abs(rebuilt - alpha).max())
         dev_norm = max(dev_norm, abs(np.sum(res.lambdas**2) - np.linalg.norm(alpha) ** 2))
-    out.append(PropertyResult("schmidt-reconstruction", dev_rec, 1e-10))
-    out.append(PropertyResult("schmidt-norm-identity", dev_norm, 1e-10))
+    out["schmidt-reconstruction"] = Verdict.at_most(dev_rec, 1e-10)
+    out["schmidt-norm-identity"] = Verdict.at_most(dev_norm, 1e-10)
 
     dev_rank = 0.0
     for _ in range(10):
@@ -329,8 +307,8 @@ def suite_entangle(seed: int) -> list[PropertyResult]:
     dev_bell = float(
         np.abs(schmidt(bell, BasisPair.standard(2, 2)).lambdas - 1 / np.sqrt(2)).max()
     )
-    out.append(PropertyResult("schmidt-rank-dichotomy", dev_rank, 0.5))
-    out.append(PropertyResult("schmidt-bell-lambdas", dev_bell, 1e-12))
+    out["schmidt-rank-dichotomy"] = Verdict.at_most(dev_rank, 0.5)
+    out["schmidt-bell-lambdas"] = Verdict.at_most(dev_bell, 1e-12)
 
     dev_inv = 0.0
     for _ in range(10):
@@ -342,14 +320,14 @@ def suite_entangle(seed: int) -> list[PropertyResult]:
         s0 = schmidt(alpha, BasisPair.standard(d1, d2)).lambdas
         s1 = schmidt(rotated, BasisPair.standard(d1, d2)).lambdas
         dev_inv = max(dev_inv, float(np.abs(np.sort(s0) - np.sort(s1)).max()))
-    out.append(PropertyResult("schmidt-unitary-invariance", dev_inv, 1e-10))
+    out["schmidt-unitary-invariance"] = Verdict.at_most(dev_inv, 1e-10)
     return out
 
 
-def suite_bench_sanity(seed: int) -> list[PropertyResult]:
+def suite_bench_sanity(seed: int) -> dict[str, Verdict]:
     cfg = bench_mod.BenchConfig(dim=3, kraus_rank=2, chain_length=4, trials=3, seed=seed)
     report = bench_mod.run_bench(cfg)
-    return [PropertyResult("bench-method-agreement", report.max_deviation, 1e-8)]
+    return {"bench-method-agreement": Verdict.at_most(report.max_deviation, 1e-8)}
 
 
 SUITES = {
@@ -361,9 +339,6 @@ SUITES = {
 }
 
 
-def run_suites(names: list[str], seed: int) -> list[tuple[str, PropertyResult]]:
-    results = []
-    for name in names:
-        for res in SUITES[name](seed):
-            results.append((name, res))
-    return results
+def run_suites(names: list[str], seed: int) -> list[tuple[str, str, Verdict]]:
+    """(suite, property, verdict) for every property of the named suites, in order."""
+    return [(suite, prop, v) for suite in names for prop, v in SUITES[suite](seed).items()]

@@ -44,12 +44,14 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
     Tolerance,
+    Verdict,
     adjoint,
     as_matrix,
     as_vector,
+    complex_gaussian,
     guard_entries,
-    is_psd,
     kron,
+    psd_check,
 )
 from .vectorize import Basis, BasisPair, devec_jstar, phi_plus, vec_j, vec_t
 
@@ -100,8 +102,6 @@ class HSMap:
                 f"HSMap: operand shape {a.shape} != ({self.d2}, {self.d1})"
             )
         return self._apply(a)
-
-    apply = __call__
 
     @classmethod
     def identity(cls, d1: int, d2: int) -> "HSMap":
@@ -330,15 +330,29 @@ def compose(b1: SuperOp, b2: SuperOp) -> SuperOp:
     return SuperOp(b1.rmatrix @ b2.rmatrix, b1.bases)
 
 
-def check_cp(b: HSMap, basis: Basis, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Complete positivity via the Choi criterion."""
-    return is_psd(choi_map(b, basis), tol)
+def check_cp(b: HSMap, basis: Basis, tol: Tolerance = DEFAULT_TOL) -> Verdict:
+    """Complete positivity via the Choi criterion: psd_check of the Choi matrix."""
+    return psd_check(choi_map(b, basis), tol)
 
 
-def check_tp(ms: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> bool:
+def check_tp(ms: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Trace preservation of a Kraus channel: sum_i M_i M_i* == I."""
-    dev = tp_deviation(ms)
-    return dev <= tol.abs + tol.rel
+    return tp_verdict(tp_deviation(ms), tol)
+
+
+def tp_verdict(deviation: float, tol: Tolerance = DEFAULT_TOL) -> Verdict:
+    """Trace preservation passes iff tp_deviation is at most abs + rel of tol:
+    the relative part is scaled by 1, the largest entry of the identity."""
+    return Verdict.at_most(deviation, tol.abs + tol.rel)
+
+
+def random_tp_kraus(d: int, rank: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random trace-preserving Kraus list: sum_i M_i M_i* == I by construction."""
+    gs = [complex_gaussian(d, d, rng) for _ in range(rank)]
+    total = sum(g @ g.conj().T for g in gs)
+    w, v = np.linalg.eigh(total)
+    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    return [inv_sqrt @ g for g in gs]
 
 
 def tp_deviation(ms: Sequence[np.ndarray]) -> float:

@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
     DimensionMismatchError,
     Tolerance,
     adjoint,
@@ -64,8 +63,6 @@ class Basis:
     @cached_property
     def conjugation(self) -> np.ndarray:
         """J = U U^T: the conjugation fixing the basis columns is phi -> J conj(phi)."""
-        if self.is_standard:
-            return np.eye(self.dim, dtype=complex)
         return self.u @ self.u.T
 
     @staticmethod
@@ -110,10 +107,6 @@ class BasisPair:
     @staticmethod
     def standard(d1: int, d2: int) -> "BasisPair":
         return BasisPair(Basis.standard(d1), Basis.standard(d2))
-
-    @staticmethod
-    def random(d1: int, d2: int, seed: int) -> "BasisPair":
-        return BasisPair(Basis.random(d1, seed), Basis.random(d2, seed + 1))
 
 
 def _check_operator(a, bases: BasisPair) -> np.ndarray:

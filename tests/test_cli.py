@@ -135,6 +135,19 @@ def test_check_identity_passes(cli, tmp_path):
     assert lines[1].startswith("tp: PASS")
 
 
+def test_check_golden_stdout(cli, tmp_path):
+    ident = write_channel(tmp_path / "id.json", [np.eye(2)])
+    assert cli("check", ident, "--cp", "--tp")[:2] == (
+        0,
+        "cp: PASS (min eigenvalue = 0)\ntp: PASS (deviation = 0)\n",
+    )
+    big = write_channel(tmp_path / "big.json", [2 * np.eye(2)])
+    assert cli("check", big, "--cp", "--tp")[:2] == (
+        1,
+        "cp: PASS (min eigenvalue = 0)\ntp: FAIL (deviation = 3)\n",
+    )
+
+
 def test_check_scaled_identity_fails_tp(cli, tmp_path):
     path = write_channel(tmp_path / "big.json", [2 * np.eye(2)])
     code, out, _ = cli("check", path, "--tp")
@@ -313,3 +326,16 @@ def test_compose_single_channel_is_its_r_matrix(cli, tmp_path):
     code, out, _ = cli("compose", write_channel(tmp_path / "c.json", ms))
     assert code == 0
     assert out == format_matrix(kraus_to_r_kron(ms))
+
+
+def test_compose_refuses_d33_before_reading_the_next_file(cli, tmp_path):
+    ch = write_channel(tmp_path / "d33.json", [np.eye(33)])
+    code, out, err = cli("compose", ch, str(tmp_path / "missing.json"))
+    assert code == 3 and out == ""
+    assert "would have 1185921 entries" in err
+
+
+def test_bench_dim_33_is_a_dimension_error(cli):
+    code, out, err = cli("bench", "--dim", "33", "--trials", "1")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "would have 1185921 entries" in err

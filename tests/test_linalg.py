@@ -228,11 +228,11 @@ def test_psd_check_verdict_fields():
     h = m @ adjoint(m)  # PSD of rank 3
     v = psd_check(h)
     assert v.passed and v.passed == is_psd(h)
-    assert v.min_eigenvalue == min_eigenvalue(h)
+    assert v.value == min_eigenvalue(h)
     # The threshold scales with the norm of the Hermitian part, max |eigenvalue|.
     assert abs(v.threshold + 1e-10 * (1 + operator_norm(h))) < 1e-20 * (1 + operator_norm(h))
     neg = psd_check(np.diag([2.0, -3.0]))
-    assert not neg.passed and neg.min_eigenvalue == -3.0 and neg.threshold == -1e-10 * 4
+    assert not neg.passed and neg.value == -3.0 and neg.threshold == -1e-10 * 4
     skew = psd_check(np.array([[1, 1], [0, 1]], dtype=complex))
     assert not skew.passed  # not Hermitian, whatever the spectrum of its Hermitian part
     with pytest.raises(DimensionMismatchError):

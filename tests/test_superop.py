@@ -185,7 +185,8 @@ def test_choi_of_transpose_is_swap():
             swap[i * 2 + j, j * 2 + i] = 1
     assert np.abs(c - swap).max() < 1e-15
     assert abs(min_eigenvalue(c) + 1.0) < 1e-12
-    assert not check_cp(HSMap(2, 2, lambda a: a.T.copy()), Basis.standard(2))
+    v = check_cp(HSMap(2, 2, lambda a: a.T.copy()), Basis.standard(2))
+    assert not v.passed and abs(v.value + 1.0) < 1e-12
 
 
 def test_choi_positivity_of_kraus_channels():
@@ -193,7 +194,7 @@ def test_choi_positivity_of_kraus_channels():
     for _ in range(50):
         d = int(rng.integers(2, 4))
         ms = random_tp_kraus(d, int(rng.integers(1, 4)), rng)
-        assert check_cp(HSMap.from_kraus(ms), Basis.standard(d))
+        assert check_cp(HSMap.from_kraus(ms), Basis.standard(d)).passed
 
 
 def test_choi_matches_entangled_state_form_for_kraus():
@@ -286,9 +287,12 @@ def test_compose_rejects_mismatched_bases():
 
 
 def test_check_tp():
-    assert check_tp([np.eye(2)])
-    assert check_tp([X / np.sqrt(2), Z / np.sqrt(2)])
-    assert not check_tp([2 * np.eye(2)])
+    # A Verdict is always truthy: read .passed, never the verdict itself.
+    ident = check_tp([np.eye(2)])
+    assert ident.passed and ident.value == 0.0 and ident.threshold == 2e-10
+    assert check_tp([X / np.sqrt(2), Z / np.sqrt(2)]).passed
+    big = check_tp([2 * np.eye(2)])
+    assert not big.passed and big.value == 3.0
 
 
 def test_cstar_properties_random_bases():
