@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complex_gaussian, guard_entries, hs_norm
+from .linalg import complex_gaussian, guard_entries
 from .superop import kraus_apply, kraus_to_r_kron, random_tp_kraus
 from .vectorize import BasisPair, devec_jstar, vec_j
 
@@ -85,7 +85,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     a = via_rmatrix()
     b = via_nested()
     deviation = float(np.abs(a - b).max())
-    if deviation > 1e-8 * (1 + hs_norm(b)):
+    if deviation > 1e-8 * (1 + np.linalg.norm(b)):
         raise AssertionError(
             f"bench: composition strategies disagree (deviation {deviation:.3e})"
         )

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .bench import BenchConfig, CSV_COLUMNS, run_bench
-from .entangle import schmidt, rank_from_lambdas
+from .entangle import schmidt
 from .io import FormatError, fmt_number, format_matrix, load_channel, load_matrix
 from .linalg import DimensionMismatchError, Tolerance, complex_gaussian, psd_check
 
@@ -31,10 +31,6 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 
 
-class UsageError(ValueError):
-    """A malformed flag or environment setting (exit 2)."""
-
-
 def _max_dim() -> int:
     raw = os.environ.get("HSDUAL_MAX_DIM", "64")
     try:
@@ -42,7 +38,7 @@ def _max_dim() -> int:
     except ValueError:
         limit = 0
     if limit < 1:
-        raise UsageError(f"HSDUAL_MAX_DIM must be a positive integer, got {raw!r}")
+        raise ValueError(f"HSDUAL_MAX_DIM must be a positive integer, got {raw!r}")
     return limit
 
 
@@ -150,7 +146,7 @@ def cmd_schmidt(args) -> int:
     v = load_matrix(args.input)
     _guard_dims(args.d1, args.d2)
     res = schmidt(v, BasisPair.standard(args.d1, args.d2))
-    rank = rank_from_lambdas(res.lambdas, cutoff=None)
+    rank = res.rank
     print("lambdas: " + " ".join(fmt_number(x, 12) for x in res.lambdas))
     print(f"rank: {rank}")
     print(f"entangled: {'yes' if rank >= 2 else 'no'}")
@@ -254,20 +250,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "digits", 0) < 0:
-            raise UsageError(f"--digits must be a non-negative integer, got {args.digits}")
+            raise ValueError(f"--digits must be a non-negative integer, got {args.digits}")
         return args.fn(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as e:
-        if isinstance(e, DimensionMismatchError):
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_DIMENSION
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except IndexError as e:
+    except (DimensionMismatchError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIMENSION
+    except ValueError as e:  # FormatError and malformed flags or settings
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

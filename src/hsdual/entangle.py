@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import DimensionMismatchError, as_vector, kron, svd
 from .superop import HSMap, lower_s
-from .vectorize import BasisPair, conjugate_in_basis, devec_jstar
+from .vectorize import BasisPair, devec_jstar
 
 
 @dataclass(frozen=True)
@@ -31,36 +31,30 @@ class SchmidtResult:
 
     @property
     def rank(self) -> int:
-        return rank_from_lambdas(self.lambdas, cutoff=None)
+        return rank_from_lambdas(self.lambdas)
 
 
-def rank_from_lambdas(lambdas: np.ndarray, cutoff: float | None) -> int:
-    if cutoff is None:
-        cutoff = 1e-10 * float(np.linalg.norm(lambdas))
-    return int(np.count_nonzero(lambdas > cutoff))
+def rank_from_lambdas(lambdas: np.ndarray) -> int:
+    """Number of Schmidt coefficients above 1e-10 times their norm."""
+    return int(np.count_nonzero(lambdas > 1e-10 * float(np.linalg.norm(lambdas))))
 
 
 def schmidt(alpha, bases: BasisPair) -> SchmidtResult:
     """Schmidt decomposition of a bipartite vector relative to the given bases."""
     a = devec_jstar(alpha, bases)
     w, s, x = svd(a)  # a == w @ diag(s) @ x.conj().T
-    # Phase convention: first nonzero component of each x-column made real
-    # nonnegative, the w-column absorbing the compensating phase.
-    for i in range(s.shape[0]):
-        col = x[:, i]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            x[:, i] = col / phase
-            w[:, i] = w[:, i] / phase
-    left = np.column_stack(
-        [conjugate_in_basis(bases.b1, x[:, i]) for i in range(x.shape[1])]
-    )
+    # Phase convention: the first entry above 1e-12 of each (unit) x-column is
+    # made real nonnegative, the w-column absorbing the compensating phase.
+    first = x[np.argmax(np.abs(x) > 1e-12, axis=0), np.arange(x.shape[1])]
+    phase = first / np.abs(first)
+    x = x / phase
+    w = w / phase
+    left = bases.b1.conjugation @ x.conj()  # column i is K x_i
     return SchmidtResult(lambdas=s, left=left, right=w)
 
 
-def schmidt_rank(alpha, d1: int, d2: int, cutoff: float | None = None) -> int:
-    """Number of Schmidt coefficients above the cutoff (default 1e-10 * norm).
+def schmidt_rank(alpha, d1: int, d2: int) -> int:
+    """Number of Schmidt coefficients above 1e-10 times their norm.
 
     Basis independent; the zero vector has rank 0.  A vector is entangled iff
     the rank is at least 2.
@@ -69,11 +63,11 @@ def schmidt_rank(alpha, d1: int, d2: int, cutoff: float | None = None) -> int:
     if alpha.shape[0] != d1 * d2:
         raise DimensionMismatchError("schmidt_rank: vector length != d1*d2")
     s = np.linalg.svd(alpha.reshape(d1, d2).T, compute_uv=False)
-    return rank_from_lambdas(s, cutoff)
+    return rank_from_lambdas(s)
 
 
-def is_entangled(alpha, d1: int, d2: int, cutoff: float | None = None) -> bool:
-    return schmidt_rank(alpha, d1, d2, cutoff) >= 2
+def is_entangled(alpha, d1: int, d2: int) -> bool:
+    return schmidt_rank(alpha, d1, d2) >= 2
 
 
 def _check_unit(v, name: str) -> np.ndarray:

@@ -10,7 +10,6 @@ byte-stable.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -21,72 +20,80 @@ class FormatError(ValueError):
     """Malformed matrix/channel file."""
 
 
-def _validate_matrix_obj(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise FormatError("matrix object must be a JSON object")
+def _read(path: str) -> str:
     try:
-        rows = obj["rows"]
-        cols = obj["cols"]
-        data = obj["data"]
-    except KeyError as e:
-        raise FormatError(f"matrix object missing field {e}") from None
-    if obj.get("format", FORMAT_VERSION) != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {obj.get('format')!r}")
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
-        raise FormatError("rows/cols must be positive integers")
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"cannot read {path}: {e}") from None
+
+
+def _decode(text: str):
+    # ValueError covers JSONDecodeError and integers past Python's digit limit.
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"invalid JSON: {e}") from None
+
+
+def _header(obj, kind: str, *sizes: str) -> list[int]:
+    """Check the fields both file kinds share; return the named sizes."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{kind} must be a JSON object")
+    version = obj.get("format", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {version!r}")
+    out = []
+    for name in sizes:
+        v = obj.get(name)
+        if type(v) is not int or v < 1:  # type(), not isinstance: true is no size
+            raise FormatError(f"{kind} field {name!r} must be a positive integer")
+        out.append(v)
+    return out
+
+
+def _matrix(obj) -> np.ndarray:
+    rows, cols = _header(obj, "matrix", "rows", "cols")
+    data = obj.get("data")
     if not isinstance(data, list) or len(data) != rows:
         raise FormatError("data must be a list with one entry per row")
-    out = np.zeros((rows, cols), dtype=complex)
     for r, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError(f"row {r} must be a list of {cols} entries")
         for c, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and type(entry[0]) in (int, float)
+                and type(entry[1]) in (int, float)
             ):
                 raise FormatError(f"entry ({r},{c}) must be a [re, im] pair of numbers")
-            re, im = float(entry[0]), float(entry[1])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise FormatError(f"entry ({r},{c}) is not finite")
-            out[r, c] = complex(re, im)
-    return out
+    try:
+        parts = np.array(data, dtype=float)  # rows x cols x [re, im]
+    except OverflowError:
+        raise FormatError("an integer entry is too large for a double") from None
+    finite = np.isfinite(parts)
+    if not finite.all():
+        r, c, _ = np.argwhere(~finite)[0]
+        raise FormatError(f"entry ({r},{c}) is not finite")
+    return parts.view(complex).reshape(rows, cols)
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON: {e}") from None
-    return _validate_matrix_obj(obj)
+    return _matrix(_decode(text))
 
 
 def load_matrix(path: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from None
-    return parse_matrix(text)
+    return parse_matrix(_read(path))
 
 
 def parse_channel(text: str) -> list[np.ndarray]:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise FormatError("channel file must be a JSON object")
-    if obj.get("format", FORMAT_VERSION) != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {obj.get('format')!r}")
-    dim = obj.get("dim")
+    obj = _decode(text)
+    (dim,) = _header(obj, "channel", "dim")
     kraus = obj.get("kraus")
-    if not (isinstance(dim, int) and dim > 0):
-        raise FormatError("dim must be a positive integer")
     if not isinstance(kraus, list) or not kraus:
         raise FormatError("kraus must be a nonempty list of matrices")
-    ms = [_validate_matrix_obj(k) for k in kraus]
+    ms = [_matrix(k) for k in kraus]
     for i, m in enumerate(ms):
         if m.shape != (dim, dim):
             raise FormatError(f"kraus block {i} has shape {m.shape}, expected ({dim}, {dim})")
@@ -94,12 +101,7 @@ def parse_channel(text: str) -> list[np.ndarray]:
 
 
 def load_channel(path: str) -> list[np.ndarray]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from None
-    return parse_channel(text)
+    return parse_channel(_read(path))
 
 
 def fmt_number(x: float, digits: int = 17) -> str:

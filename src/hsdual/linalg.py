@@ -94,10 +94,6 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
-def hs_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
-
-
 def is_hermitian(h, tol: Tolerance = DEFAULT_TOL) -> bool:
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:

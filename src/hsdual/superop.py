@@ -158,10 +158,6 @@ class SuperOp:
         return SuperOp(np.eye(n, dtype=complex), bases)
 
     @staticmethod
-    def from_hsmap(b: HSMap, bases: BasisPair) -> "SuperOp":
-        return SuperOp(lift_r(b, bases), bases)
-
-    @staticmethod
     def from_kraus(ms: Sequence[np.ndarray], basis: Basis) -> "SuperOp":
         return SuperOp(kraus_to_r_kron(ms, basis), BasisPair(basis, basis))
 

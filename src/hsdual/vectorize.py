@@ -78,14 +78,13 @@ class Basis:
         """Orthonormal basis whose first column is the given unit vector."""
         phi = as_vector(phi)
         d = phi.shape[0]
-        if abs(np.linalg.norm(phi) - 1.0) > 1e-8:
-            raise ValueError("adapted_to: vector must be normalized")
+        # The bound Basis puts on each diagonal entry of U*U, checked here so
+        # that the refusal names adapted_to.
+        if abs(np.vdot(phi, phi).real - 1.0) > 1e-10:
+            raise ValueError("adapted_to: vector must be normalized (|norm^2 - 1| <= 1e-10)")
         cols = np.column_stack([phi, np.eye(d, dtype=complex)])
         q = np.linalg.qr(cols)[0][:, :d]
-        # QR returns the first column only up to phase; pin it to phi exactly.
-        c = np.vdot(phi, q[:, 0])
-        q[:, 0] = q[:, 0] * np.conj(c)
-        q[:, 0] = phi
+        q[:, 0] = phi  # QR returns the first column only up to phase
         return Basis(q)
 
 

@@ -35,6 +35,21 @@ def write_channel(path, mats):
     return str(path)
 
 
+# Malformed files, name -> (file kind, text), each to be refused with a
+# FormatError: a bool where a size or the version goes, an integer entry past
+# the double range and JSON nested past the interpreter's recursion limit.
+FAULT_FILES = {
+    "rows-true": ("matrix", '{"format": 1, "rows": true, "cols": 1, "data": [[[1, 0]]]}'),
+    "entry-401-digits": ("matrix", '{"format": 1, "rows": 1, "cols": 1, "data": [[[' + "9" * 401 + ", 0]]]}"),
+    "nested-100000": ("matrix", "[" * 100_000 + "]" * 100_000),
+    "dim-true": (
+        "channel",
+        '{"format": 1, "dim": true, "kraus": [{"rows": 1, "cols": 1, "data": [[[1, 0]]]}]}',
+    ),
+    "format-true": ("matrix", '{"format": true, "rows": 1, "cols": 1, "data": [[[1, 0]]]}'),
+}
+
+
 @pytest.fixture
 def cli(capsys):
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""

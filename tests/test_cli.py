@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from conftest import write_channel, write_matrix
+from conftest import FAULT_FILES, write_channel, write_matrix
 
 from hsdual.io import format_matrix, parse_matrix
 from hsdual.linalg import random_unitary
@@ -97,6 +98,16 @@ def test_malformed_input_exits_2(cli, tmp_path):
     assert code == 2
     code, _, _ = cli("vec", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_FILES))
+def test_fault_file_exits_2_with_one_error_line(cli, tmp_path, name):
+    kind, text = FAULT_FILES[name]
+    path = tmp_path / "fault.json"
+    path.write_text(text)
+    code, out, err = cli("vec" if kind == "matrix" else "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_choi_identity_golden(cli, tmp_path):

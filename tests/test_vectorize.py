@@ -33,6 +33,16 @@ def test_basis_adapted_to():
     assert np.array_equal(b.column(0), phi)
 
 
+def test_basis_adapted_to_checks_the_bound_basis_enforces():
+    phi = np.array([1.0, 1.0j]) / np.sqrt(2)
+    # ||phi|| = 1 + 5e-9 is within 1e-8 of 1, but ||phi||^2 is not within the
+    # 1e-10 that Basis demands; the refusal must name adapted_to.
+    with pytest.raises(ValueError, match="adapted_to"):
+        Basis.adapted_to(phi * (1 + 5e-9))
+    near = phi * (1 + 2e-11)  # | ||near||^2 - 1 | = 4e-11
+    assert np.array_equal(Basis.adapted_to(near).column(0), near)
+
+
 def test_conjugation_standard_basis_is_entrywise():
     b = Basis.standard(2)
     phi = np.array([1 + 2j, 3.0])
