@@ -37,6 +37,7 @@ class BenchConfig:
             if getattr(self, field) <= 0:
                 raise ValueError(f"BenchConfig.{field} must be positive")
         guard_entries(self.dim**4, "R-matrix")
+        guard_entries(self.chain_length * self.kraus_rank * self.dim**2, "bench channels")
 
 
 @dataclass(frozen=True)

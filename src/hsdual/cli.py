@@ -84,7 +84,7 @@ def cmd_devec(args) -> int:
 
 def cmd_choi(args) -> int:
     ms = load_channel(args.channel)
-    d = ms[0].shape[0]
+    d = ms.shape[1]
     _guard_dims(d)
     c = choi_map(HSMap.from_kraus(ms), Basis.standard(d), normalize=args.normalize)
     sys.stdout.write(format_matrix(c, args.digits))
@@ -93,7 +93,7 @@ def cmd_choi(args) -> int:
 
 def cmd_check(args) -> int:
     ms = load_channel(args.channel)
-    d = ms[0].shape[0]
+    d = ms.shape[1]
     _guard_dims(d)
     run_cp = args.cp or not (args.cp or args.tp)
     run_tp = args.tp or not (args.cp or args.tp)
@@ -116,14 +116,14 @@ def cmd_compose(args) -> int:
     # Each channel is lifted as it is read, so the d^4 cap refuses a large
     # channel before the next file is opened.
     channels = [load_channel(args.channels[0])]
-    d = channels[0][0].shape[0]
+    d = channels[0].shape[1]
     _guard_dims(d)
     basis = Basis.standard(d)
     total = SuperOp.from_kraus(channels[0], basis)
     for path in args.channels[1:]:  # first file applied first
         ms = load_channel(path)
-        if ms[0].shape[0] != d:
-            raise DimensionMismatchError(f"compose: {path} has dimension {ms[0].shape[0]}, expected {d}")
+        if ms.shape[1] != d:
+            raise DimensionMismatchError(f"compose: {path} has dimension {ms.shape[1]}, expected {d}")
         total = compose(SuperOp.from_kraus(ms, basis), total)
         channels.append(ms)
     sys.stdout.write(format_matrix(total.rmatrix, args.digits))
@@ -251,11 +251,14 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "digits", 0) < 0:
             raise ValueError(f"--digits must be a non-negative integer, got {args.digits}")
-        return args.fn(args)
+        # A valid file whose products overflow a double is refused, not
+        # answered with inf or nan entries.
+        with np.errstate(over="raise"):
+            return args.fn(args)
     except (DimensionMismatchError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIMENSION
-    except ValueError as e:  # FormatError and malformed flags or settings
+    except (ValueError, FloatingPointError) as e:  # FormatError, malformed flags or settings, overflow
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

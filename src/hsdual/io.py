@@ -1,7 +1,8 @@
 """Matrix and channel file formats used by the CLI.
 
 Matrices are stored as JSON with explicit dimensions and complex entries as
-[re, im] pairs; channels as a dimension plus a list of square Kraus blocks.
+[re, im] pairs; channels as a dimension plus a list of square Kraus blocks,
+read into one k x d x d array.
 Output is rendered with a fixed layout and a configurable number of
 significant digits (default 17, round-trippable doubles) so golden files are
 byte-stable.
@@ -87,7 +88,8 @@ def load_matrix(path: str) -> np.ndarray:
     return parse_matrix(_read(path))
 
 
-def parse_channel(text: str) -> list[np.ndarray]:
+def parse_channel(text: str) -> np.ndarray:
+    """The Kraus blocks of a ChannelFile as one complex k x d x d array."""
     obj = _decode(text)
     (dim,) = _header(obj, "channel", "dim")
     kraus = obj.get("kraus")
@@ -97,10 +99,10 @@ def parse_channel(text: str) -> list[np.ndarray]:
     for i, m in enumerate(ms):
         if m.shape != (dim, dim):
             raise FormatError(f"kraus block {i} has shape {m.shape}, expected ({dim}, {dim})")
-    return ms
+    return np.stack(ms)
 
 
-def load_channel(path: str) -> list[np.ndarray]:
+def load_channel(path: str) -> np.ndarray:
     return parse_channel(_read(path))
 
 

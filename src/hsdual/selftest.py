@@ -266,7 +266,7 @@ def suite_choi(seed: int) -> dict[str, Verdict]:
     for _ in range(10):
         d = int(rng.integers(1, 6))
         ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
-        probe_map = HSMap(d, d, lambda a, ms=ms: kraus_apply(ms, a))  # no Kraus list: probed
+        probe_map = HSMap(d, d, lambda a, ms=ms: kraus_apply(ms, a))  # no Kraus stack: probed
         for b in (Basis.standard(d), Basis(random_unitary_from(d, rng))):
             closed = choi_map(HSMap.from_kraus(ms), b)
             dev_closed = max(dev_closed, np.abs(closed - choi_map(probe_map, b)).max())

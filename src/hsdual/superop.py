@@ -3,7 +3,7 @@
 Three interchangeable representations are supported:
 
 * an ``HSMap``: the abstract linear action A -> B(A), backed by either a Kraus
-  list or a dense matrix in the matrix-unit basis (flat index j*d2 + i);
+  stack or a dense matrix in the matrix-unit basis (flat index j*d2 + i);
 * the R-matrix: the dense matrix of vec . B . devec on the tensor-product
   space, in standard coordinates — the canonical internal form, where
   composition of maps is a plain matrix product;
@@ -15,7 +15,14 @@ when sum_i M_i M_i* = I.  This is the adjoint of the other common convention
 B(A) = sum_i M_i A M_i*; mind the stars when importing channels from
 elsewhere.
 
-Each conversion from a Kraus list has one closed-form production path, an
+A Kraus channel is one complex k x d x d array, the k blocks M_i stacked.
+Every function that takes a channel passes it through one validator,
+``_kraus``, which also accepts a list or tuple of equal square blocks and
+raises ``DimensionMismatchError`` for an empty, ragged or non-square input.
+Sums over the blocks (``kraus_apply``, ``tp_deviation``) are one batched
+product each.
+
+Each conversion from a Kraus stack has one closed-form production path, an
 index rearrangement of the stacked blocks (Wood, Biamonte and Cory,
 arXiv:1111.6950, sec. 3).  With J = U U^T for the basis U (J = I for the
 standard basis), both cost O(k d^4) for k blocks of size d:
@@ -28,7 +35,7 @@ standard basis), both cost O(k d^4) for k blocks of size d:
 
 The paper's constructions are kept as independent oracles for the tests:
 ``kraus_to_r`` (columnwise through ``m_alpha`` and ``vec_t``), the probe
-``lift_r`` and the probe ``choi_map`` of a map without a Kraus list, e.g.
+``lift_r`` and the probe ``choi_map`` of a map without a Kraus stack, e.g.
 ``HSMap(d, d, lambda a: kraus_apply(ms, a))``.  Every dense d^2 x d^2 result
 is refused above ``MAX_KRON_ENTRIES`` entries (``guard_entries``).
 """
@@ -36,7 +43,7 @@ is refused above ``MAX_KRON_ENTRIES`` entries (``guard_entries``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -56,28 +63,31 @@ from .linalg import (
 from .vectorize import Basis, BasisPair, devec_jstar, phi_plus, vec_j, vec_t
 
 
-def _check_kraus(ms: Sequence[np.ndarray]) -> list[np.ndarray]:
-    ms = [as_matrix(m) for m in ms]
-    if not ms:
-        raise DimensionMismatchError("empty Kraus list")
-    d = ms[0].shape[0]
-    for m in ms:
-        if m.shape != (d, d):
-            raise DimensionMismatchError("Kraus operators must be square with equal dims")
-    return ms
+def _kraus(ms, basis: Basis | None = None, what: str = "Kraus channel") -> np.ndarray:
+    """A Kraus channel as one complex k x d x d stack.
+
+    Takes any sequence of equal square blocks, or a stack already; refuses an
+    empty, ragged or non-square input and a basis of another dimension.
+    """
+    try:
+        m = np.asarray(ms, dtype=complex)
+    except ValueError:  # ragged blocks
+        m = None
+    if m is None or m.ndim != 3 or m.shape[0] == 0 or m.shape[1] != m.shape[2]:
+        raise DimensionMismatchError(f"{what}: Kraus operators must be a nonempty set of equal square blocks")
+    if basis is not None and basis.dim != m.shape[1]:
+        raise DimensionMismatchError(f"{what}: basis dimension {basis.dim} != Kraus dimension {m.shape[1]}")
+    return m
 
 
-def kraus_apply(ms: Sequence[np.ndarray], a) -> np.ndarray:
+def kraus_apply(ms, a) -> np.ndarray:
     """Apply the channel in Kraus form: sum_i M_i* a M_i."""
-    ms = _check_kraus(ms)
+    m = _kraus(ms)
     a = as_matrix(a)
-    d = ms[0].shape[0]
+    d = m.shape[1]
     if a.shape != (d, d):
         raise DimensionMismatchError(f"kraus_apply: state shape {a.shape} != ({d}, {d})")
-    out = np.zeros_like(a)
-    for m in ms:
-        out += m.conj().T @ a @ m
-    return out
+    return (m.conj().transpose(0, 2, 1) @ a @ m).sum(axis=0)
 
 
 class HSMap:
@@ -88,12 +98,12 @@ class HSMap:
         d1: int,
         d2: int,
         apply_fn: Callable[[np.ndarray], np.ndarray],
-        kraus: list[np.ndarray] | None = None,
+        kraus: np.ndarray | None = None,
     ):
         self.d1 = d1
         self.d2 = d2
         self._apply = apply_fn
-        self.kraus = kraus  # set when the map is a Kraus channel
+        self.kraus = kraus  # the k x d x d stack when the map is a Kraus channel
 
     def __call__(self, a) -> np.ndarray:
         a = as_matrix(a)
@@ -108,10 +118,9 @@ class HSMap:
         return cls(d1, d2, lambda a: a.copy())
 
     @classmethod
-    def from_kraus(cls, ms: Sequence[np.ndarray]) -> "HSMap":
-        ms = _check_kraus(ms)
-        d = ms[0].shape[0]
-        return cls(d, d, lambda a: kraus_apply(ms, a), kraus=ms)
+    def from_kraus(cls, ms) -> "HSMap":
+        m = _kraus(ms)
+        return cls(m.shape[1], m.shape[1], lambda a: kraus_apply(m, a), kraus=m)
 
     @classmethod
     def sandwich(cls, m, n) -> "HSMap":
@@ -123,13 +132,7 @@ class HSMap:
     @classmethod
     def from_matrix(cls, mat, d1: int, d2: int) -> "HSMap":
         """Dense map in the matrix-unit basis: mat acts on column-stacked operators."""
-        mat = as_matrix(mat)
-        n = d1 * d2
-        if mat.shape != (n, n):
-            raise DimensionMismatchError(f"HSMap.from_matrix: shape {mat.shape} != ({n}, {n})")
-        def apply(a):
-            return (mat @ a.T.reshape(-1)).reshape(d1, d2).T
-        return cls(d1, d2, apply)
+        return lower_s(mat, BasisPair.standard(d1, d2))
 
     def matrix(self) -> np.ndarray:
         """Dense matrix in the matrix-unit basis (probe on standard matrix units);
@@ -158,7 +161,7 @@ class SuperOp:
         return SuperOp(np.eye(n, dtype=complex), bases)
 
     @staticmethod
-    def from_kraus(ms: Sequence[np.ndarray], basis: Basis) -> "SuperOp":
+    def from_kraus(ms, basis: Basis) -> "SuperOp":
         return SuperOp(kraus_to_r_kron(ms, basis), BasisPair(basis, basis))
 
     def as_hsmap(self) -> HSMap:
@@ -195,10 +198,10 @@ def lower_s(c, bases: BasisPair) -> HSMap:
     return HSMap(bases.d1, bases.d2, lambda a: devec_jstar(c @ vec_j(a, bases), bases))
 
 
-def m_alpha(ms: Sequence[np.ndarray], alpha, basis: Basis) -> np.ndarray:
+def m_alpha(ms, alpha, basis: Basis) -> np.ndarray:
     """The collapsed operator sum_{r,s} <phi_r (x) phi_s, alpha>
     sum_i |M_i* phi_s><M_i* phi_r| attached to a tensor-product vector."""
-    ms = _check_kraus(ms)
+    ms = _kraus(ms, basis, "m_alpha")
     d = basis.dim
     alpha = as_vector(alpha)
     if alpha.shape[0] != d * d:
@@ -212,7 +215,7 @@ def m_alpha(ms: Sequence[np.ndarray], alpha, basis: Basis) -> np.ndarray:
     return out
 
 
-def kraus_to_r(ms: Sequence[np.ndarray], basis: Basis) -> np.ndarray:
+def kraus_to_r(ms, basis: Basis) -> np.ndarray:
     """R-matrix of a Kraus channel, built columnwise as
     alpha -> sum_s phi_s (x) (M_alpha phi_s).
 
@@ -220,7 +223,7 @@ def kraus_to_r(ms: Sequence[np.ndarray], basis: Basis) -> np.ndarray:
     Independent of lift_r(HSMap.from_kraus(ms), ...) and of kraus_to_r_kron;
     the three are cross-checked in the test suite.
     """
-    ms = _check_kraus(ms)
+    ms = _kraus(ms, basis, "kraus_to_r")
     d = basis.dim
     n = d * d
     out = np.zeros((n, n), dtype=complex)
@@ -230,17 +233,7 @@ def kraus_to_r(ms: Sequence[np.ndarray], basis: Basis) -> np.ndarray:
     return out
 
 
-def _stack_kraus(ms: Sequence[np.ndarray], basis: Basis | None, what: str) -> np.ndarray:
-    """The Kraus blocks as one k x d x d array, with the d^4 cap enforced."""
-    m = np.stack(_check_kraus(ms))
-    d = m.shape[1]
-    if basis is not None and basis.dim != d:
-        raise DimensionMismatchError(f"{what}: basis dimension {basis.dim} != Kraus dimension {d}")
-    guard_entries(d**4, what)
-    return m
-
-
-def kraus_to_r_kron(ms: Sequence[np.ndarray], basis: Basis | None = None) -> np.ndarray:
+def kraus_to_r_kron(ms, basis: Basis | None = None) -> np.ndarray:
     """Closed Kronecker form of the R-matrix:
     sum_k (J M_k^T conj(J)) (x) M_k^*, with J = U U^T for the basis U
     (J = I for the standard basis, the default).
@@ -248,8 +241,9 @@ def kraus_to_r_kron(ms: Sequence[np.ndarray], basis: Basis | None = None) -> np.
     The production Kraus -> R path: the k Kronecker products are summed by one
     (d^2 x k) @ (k x d^2) product and an index reshuffle, O(k d^4).
     """
-    m = _stack_kraus(ms, basis, "R-matrix")
+    m = _kraus(ms, basis, "R-matrix")
     k, d, _ = m.shape
+    guard_entries(d**4, "R-matrix")
     left = m.transpose(0, 2, 1)
     if basis is not None and not basis.is_standard:
         j = basis.conjugation
@@ -260,15 +254,16 @@ def kraus_to_r_kron(ms: Sequence[np.ndarray], basis: Basis | None = None) -> np.
     return r.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def kraus_to_choi(ms: Sequence[np.ndarray], basis: Basis, normalize: bool = False) -> np.ndarray:
+def kraus_to_choi(ms, basis: Basis, normalize: bool = False) -> np.ndarray:
     """Closed form of the Choi matrix of a Kraus channel: C = V V^*, where
     column k of V is the row-major flattening of J conj(M_k), J = U U^T.
 
     The production Kraus -> Choi path, one d^2 x k x d^2 product.  Equals
-    choi_map of the same channel given without its Kraus list.
+    choi_map of the same channel given without its Kraus stack.
     """
-    m = _stack_kraus(ms, basis, "Choi matrix")
+    m = _kraus(ms, basis, "Choi matrix")
     k, d, _ = m.shape
+    guard_entries(d**4, "Choi matrix")
     w = m.conj()
     if not basis.is_standard:
         w = basis.conjugation @ w
@@ -285,7 +280,7 @@ def choi_map(b: HSMap, basis: Basis, normalize: bool = False) -> np.ndarray:
     Defined for the square case only; the reference vector
     sum_j phi_j (x) phi_j is kept unnormalized unless ``normalize`` is set,
     which divides the result by the dimension.  A map that carries a Kraus
-    list takes the closed form kraus_to_choi; any other map is probed on the
+    stack takes the closed form kraus_to_choi; any other map is probed on the
     d^2 matrix units (the paper's construction, the oracle for the tests).
     """
     d = basis.dim
@@ -331,7 +326,7 @@ def check_cp(b: HSMap, basis: Basis, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     return psd_check(choi_map(b, basis), tol)
 
 
-def check_tp(ms: Sequence[np.ndarray], tol: Tolerance = DEFAULT_TOL) -> Verdict:
+def check_tp(ms, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Trace preservation of a Kraus channel: sum_i M_i M_i* == I."""
     return tp_verdict(tp_deviation(ms), tol)
 
@@ -342,20 +337,16 @@ def tp_verdict(deviation: float, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     return Verdict.at_most(deviation, tol.abs + tol.rel)
 
 
-def random_tp_kraus(d: int, rank: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random trace-preserving Kraus list: sum_i M_i M_i* == I by construction."""
+def random_tp_kraus(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Random trace-preserving Kraus stack: sum_i M_i M_i* == I by construction."""
     gs = [complex_gaussian(d, d, rng) for _ in range(rank)]
     total = sum(g @ g.conj().T for g in gs)
     w, v = np.linalg.eigh(total)
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return [inv_sqrt @ g for g in gs]
+    return inv_sqrt @ np.stack(gs)
 
 
-def tp_deviation(ms: Sequence[np.ndarray]) -> float:
+def tp_deviation(ms) -> float:
     """Max-entry deviation of sum_i M_i M_i* from the identity."""
-    ms = _check_kraus(ms)
-    d = ms[0].shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    for m in ms:
-        acc += m @ m.conj().T
-    return float(np.abs(acc - np.eye(d)).max())
+    m = _kraus(ms)
+    return float(np.abs((m @ m.conj().transpose(0, 2, 1)).sum(axis=0) - np.eye(m.shape[1])).max())

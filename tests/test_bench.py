@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hsdual.bench import BenchConfig, CSV_COLUMNS, run_bench
+from hsdual.linalg import MAX_KRON_ENTRIES, DimensionMismatchError
 
 
 def test_single_unitary_channel():
@@ -34,3 +35,10 @@ def test_invalid_config_rejected():
         run_bench(BenchConfig(dim=0, kraus_rank=1, chain_length=1))
     with pytest.raises(ValueError):
         run_bench(BenchConfig(dim=2, kraus_rank=1, chain_length=-2))
+
+
+def test_channel_cap_admits_2_20_entries_and_refuses_more():
+    at_cap = BenchConfig(dim=4, kraus_rank=MAX_KRON_ENTRIES // 16, chain_length=1)
+    at_cap.validate()
+    with pytest.raises(DimensionMismatchError, match="bench channels"):
+        BenchConfig(dim=4, kraus_rank=MAX_KRON_ENTRIES // 16, chain_length=2).validate()

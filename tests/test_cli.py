@@ -110,6 +110,43 @@ def test_fault_file_exits_2_with_one_error_line(cli, tmp_path, name):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# A valid file whose entries are near the double limit: the products each
+# command forms overflow, and it must refuse with one line, not print inf or nan.
+NEAR_LIMIT = np.array([[1e300, 0], [0, 1]])
+OVERFLOW_CALLS = {
+    "compose": ("compose", "{ch}"),
+    "choi": ("choi", "{ch}"),
+    "check-cp": ("check", "--cp", "{ch}"),
+    "check-tp": ("check", "--tp", "{ch}"),
+    "vec-basis-h1": ("vec", "{eye}", "--basis-h1", "{big}"),
+    "schmidt": ("schmidt", "{col}", "--d1", "2", "--d2", "2"),
+}
+
+
+def near_limit_files(tmp_path):
+    return {
+        "ch": write_channel(tmp_path / "ch.json", [NEAR_LIMIT]),
+        "big": write_matrix(tmp_path / "big.json", NEAR_LIMIT),
+        "eye": write_matrix(tmp_path / "eye.json", np.eye(2)),
+        "col": write_matrix(tmp_path / "col.json", NEAR_LIMIT.reshape(-1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_CALLS))
+def test_overflow_exits_2_with_one_error_line(cli, tmp_path, name):
+    files = near_limit_files(tmp_path)
+    code, out, err = cli(*(arg.format(**files) for arg in OVERFLOW_CALLS[name]))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: overflow") and err.count("\n") == 1
+
+
+def test_entries_near_the_limit_pass_where_nothing_overflows(cli, tmp_path):
+    files = near_limit_files(tmp_path)
+    code, out, err = cli("vec", files["big"])
+    assert (code, err) == (0, "")
+    assert np.array_equal(parse_matrix(out)[:, 0], NEAR_LIMIT.T.reshape(-1))
+
+
 def test_choi_identity_golden(cli, tmp_path):
     path = write_channel(tmp_path / "id.json", [np.eye(2)])
     code, out, _ = cli("choi", path)
@@ -350,3 +387,10 @@ def test_bench_dim_33_is_a_dimension_error(cli):
     code, out, err = cli("bench", "--dim", "33", "--trials", "1")
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and "would have 1185921 entries" in err
+
+
+def test_bench_channels_capped_just_over_the_limit(cli):
+    # 1 channel * 65537 blocks * 4**2 entries = 2**20 + 16, one block over the cap.
+    code, out, err = cli("bench", "--dim", "4", "--kraus-rank", "65537", "--chain-length", "1", "--trials", "1")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "bench channels would have 1048592 entries" in err

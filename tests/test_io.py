@@ -81,7 +81,8 @@ def test_integer_entries_read_as_python_float():
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# Fuzzing: any text must give arrays of finite complex numbers or a FormatError.
+# Fuzzing: any text must give one array of finite complex numbers, shaped as its
+# header says, or a FormatError.
 FIELDS = ["format", "rows", "cols", "data", "dim", "kraus"]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -171,11 +172,12 @@ def check_parses_or_refuses(parse, text):
     obj = json.loads(text)
     if parse is parse_channel:
         assert valid_header(obj, "dim") and all(valid_header(k, "rows", "cols") for k in obj["kraus"])
+        shape = (len(obj["kraus"]), obj["dim"], obj["dim"])  # one k x d x d stack
     else:
         assert valid_header(obj, "rows", "cols")
-    for a in out if isinstance(out, list) else [out]:
-        assert isinstance(a, np.ndarray) and a.dtype == complex and a.ndim == 2
-        assert np.isfinite(a).all()
+        shape = (obj["rows"], obj["cols"])
+    assert isinstance(out, np.ndarray) and out.dtype == complex and out.shape == shape
+    assert np.isfinite(out).all()
 
 
 def with_fault_examples(test):

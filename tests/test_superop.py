@@ -373,7 +373,7 @@ def test_closed_form_r_matches_oracles(d, k):
 @pytest.mark.parametrize("d,k", CLOSED_FORM_CASES)
 def test_closed_form_choi_matches_probe(d, k):
     ms, bases = _kraus_and_bases(d, k, 200 * d + k)
-    probe_map = HSMap(d, d, lambda a: kraus_apply(ms, a))  # no Kraus list: choi_map probes
+    probe_map = HSMap(d, d, lambda a: kraus_apply(ms, a))  # no Kraus stack: choi_map probes
     assert probe_map.kraus is None
     for basis in bases:
         for normalize in (False, True):
@@ -409,3 +409,49 @@ def test_closed_forms_reject_basis_of_other_dimension():
         kraus_to_r_kron([np.eye(2)], Basis.standard(3))
     with pytest.raises(DimensionMismatchError):
         kraus_to_choi([np.eye(2)], Basis.standard(3))
+
+
+def test_kraus_list_tuple_and_stack_give_identical_results():
+    rng = np.random.default_rng(23)
+    ms = random_tp_kraus(3, 3, rng)
+    a = complex_gaussian(3, 3, rng)
+    basis = Basis.random(3, 23)
+
+    def results(channel):
+        return (
+            kraus_apply(channel, a),
+            tp_deviation(channel),
+            SuperOp.from_kraus(channel, basis).rmatrix,
+            kraus_to_choi(channel, basis),
+        )
+
+    want = results(ms)
+    assert ms.shape == (3, 3, 3)
+    for channel in (list(ms), tuple(ms)):
+        for got, ref in zip(results(channel), want):
+            assert np.array_equal(got, ref)
+
+
+BAD_KRAUS = {
+    "empty": [],
+    "empty-stack": np.empty((0, 2, 2)),
+    "ragged": [np.eye(2), np.eye(3)],
+    "non-square": [np.ones((2, 3)), np.ones((2, 3))],
+    "1-D": [np.ones(2), np.ones(2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_KRAUS))
+def test_kraus_validator_refuses_malformed_channels(name):
+    ms = BAD_KRAUS[name]
+    basis = Basis.standard(2)
+    calls = (
+        lambda: kraus_apply(ms, np.eye(2)),
+        lambda: tp_deviation(ms),
+        lambda: SuperOp.from_kraus(ms, basis),
+        lambda: kraus_to_choi(ms, basis),
+        lambda: HSMap.from_kraus(ms),
+    )
+    for call in calls:
+        with pytest.raises(DimensionMismatchError):
+            call()
