@@ -17,11 +17,11 @@ import numpy as np
 from .bench import BenchConfig, CSV_COLUMNS, run_bench
 from .entangle import schmidt
 from .io import FormatError, fmt_number, format_matrix, load_channel, load_matrix
-from .linalg import DimensionMismatchError, Tolerance, complex_gaussian, psd_check
+from .linalg import DimensionMismatchError, Tolerance, complex_gaussian
 
 # hsbench/tracing.py wraps these names on this module, so they must stay importable.
 from .linalg import is_hermitian, min_eigenvalue, operator_norm  # noqa: F401
-from .superop import HSMap, SuperOp, choi_map, compose, kraus_apply, tp_deviation, tp_verdict
+from .superop import HSMap, SuperOp, check_cp, choi_map, compose, kraus_apply, tp_deviation, tp_verdict
 from .selftest import SUITES, run_suites
 from .vectorize import Basis, BasisPair, devec_jstar, vec_j
 
@@ -99,10 +99,10 @@ def cmd_check(args) -> int:
     run_tp = args.tp or not (args.cp or args.tp)
     tol = Tolerance()
     ok = True
-    # choi_map and tp_deviation are called here by name (not through
-    # check_cp/check_tp) so that hsbench/tracing.py can time each of them.
+    # tp_deviation is called here by name (not through check_tp) so that
+    # hsbench/tracing.py can time it.
     if run_cp:
-        v = psd_check(choi_map(HSMap.from_kraus(ms), Basis.standard(d)), tol)
+        v = check_cp(HSMap.from_kraus(ms), Basis.standard(d), tol)
         ok &= v.passed
         print(f"cp: {v.status} (min eigenvalue = {fmt_number(v.value, args.digits)})")
     if run_tp:

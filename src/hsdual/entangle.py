@@ -35,8 +35,19 @@ class SchmidtResult:
 
 
 def rank_from_lambdas(lambdas: np.ndarray) -> int:
-    """Number of Schmidt coefficients above 1e-10 times their norm."""
-    return int(np.count_nonzero(lambdas > 1e-10 * float(np.linalg.norm(lambdas))))
+    """Number of Schmidt coefficients above 1e-10 times their norm.
+
+    The norm is taken as lambda_max * ||lambda / lambda_max||, whose sum of
+    squares cannot overflow however large the coefficients are.  A coefficient
+    beyond the double range (the SVD overflowed, which numpy does not report)
+    raises FloatingPointError.
+    """
+    top = float(np.max(lambdas, initial=0.0))
+    if not np.isfinite(top):
+        raise FloatingPointError("overflow encountered in svd: a Schmidt coefficient exceeds the double range")
+    if top == 0.0:
+        return 0
+    return int(np.count_nonzero(lambdas > 1e-10 * top * float(np.linalg.norm(lambdas / top))))
 
 
 def schmidt(alpha, bases: BasisPair) -> SchmidtResult:

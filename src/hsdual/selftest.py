@@ -25,6 +25,7 @@ from .linalg import (
 )
 from .superop import (
     HSMap,
+    check_cp,
     choi_map,
     kraus_apply,
     kraus_to_r,
@@ -253,13 +254,20 @@ def suite_choi(seed: int) -> dict[str, Verdict]:
     dev_t = abs(min_eigenvalue(choi_map(transpose_map, basis)) + 1.0)
     out["choi-of-transpose-min-eigenvalue"] = Verdict.at_most(dev_t, 1e-10)
 
+    # check_cp certifies a Kraus channel from its Gram matrix; psd_check of the
+    # Choi matrix probed from the map is the oracle for verdict and threshold.
     dev_psd = 0.0
     for _ in range(20):
         d = int(rng.integers(2, 4))
         ms = random_tp_kraus(d, int(rng.integers(1, 4)), rng)
-        c = choi_map(HSMap.from_kraus(ms), Basis.standard(d))
-        v = psd_check(c)
-        dev_psd = max(dev_psd, -v.value, 0.0 if v.passed else 1.0)
+        v = check_cp(HSMap.from_kraus(ms), Basis.standard(d))
+        oracle = psd_check(choi_map(HSMap(d, d, lambda a, ms=ms: kraus_apply(ms, a)), Basis.standard(d)))
+        dev_psd = max(
+            dev_psd,
+            -oracle.value,
+            abs(v.threshold - oracle.threshold) / -oracle.threshold,
+            0.0 if v.passed and oracle.passed else 1.0,
+        )
     out["choi-positivity-of-kraus-channels"] = Verdict.at_most(dev_psd, 1e-10)
 
     dev_closed = 0.0

@@ -33,6 +33,15 @@ standard basis), both cost O(k d^4) for k blocks of size d:
   with ``HSMap.from_kraus``): C = V V^*, where column k of the d^2 x k matrix
   V is the row-major flattening of J conj(M_k).
 
+Complete positivity of a Kraus channel (``check_cp``) is certified without
+the Choi matrix.  C = V V^* is positive by construction, and its nonzero
+eigenvalues are those of the k x k Gram matrix V^* V (Watrous, The Theory of
+Quantum Information, ch. 2).  For k < d^2 the least eigenvalue of C is 0, and
+the largest, which sets the threshold, comes from the Gram matrix: O(k d^2)
+to form V, O(k^2 d^2) for V^* V and O(k^3) for its eigenvalues, with no
+d^4 array.  For k >= d^2 C is built and eigensolved.  The d^4 entry cap
+still applies, so a channel the Choi matrix could not hold is refused.
+
 The paper's constructions are kept as independent oracles for the tests:
 ``kraus_to_r`` (columnwise through ``m_alpha`` and ``vec_t``), the probe
 ``lift_r`` and the probe ``choi_map`` of a map without a Kraus stack, e.g.
@@ -322,8 +331,29 @@ def compose(b1: SuperOp, b2: SuperOp) -> SuperOp:
 
 
 def check_cp(b: HSMap, basis: Basis, tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Complete positivity via the Choi criterion: psd_check of the Choi matrix."""
-    return psd_check(choi_map(b, basis), tol)
+    """Complete positivity via the Choi criterion, with psd_check's threshold
+    -tol.abs * (1 + lambda_max) on the least eigenvalue of the Choi matrix C.
+
+    A map that carries a Kraus stack has C = V V^*, positive by construction,
+    and the nonzero eigenvalues of C are those of the k x k Gram matrix V^* V.
+    So for k < d^2 the verdict is PASS with the structural least eigenvalue 0,
+    and lambda_max is read off the Gram matrix; C is never built.  The Gram
+    matrix does not depend on the basis (J is unitary), which only has to
+    match the dimension.  For k >= d^2 the Gram matrix is no smaller than C,
+    so psd_check runs on C itself.  Any other map is probed through choi_map
+    and held to psd_check.  Every path refuses d^4 > MAX_KRON_ENTRIES.
+    """
+    if b.kraus is None:
+        return psd_check(choi_map(b, basis), tol)
+    m = _kraus(b.kraus, basis, "Choi matrix")
+    k, d, _ = m.shape
+    guard_entries(d**4, "Choi matrix")
+    if k >= d * d:
+        return psd_check(kraus_to_choi(m, basis), tol)
+    w = m.reshape(k, d * d)
+    threshold = -tol.abs * (1 + float(np.linalg.eigvalsh(w.conj() @ w.T)[-1]))
+    # 0 >= threshold, unless lambda_max overflowed a double.
+    return Verdict(bool(np.isfinite(threshold)), 0.0, threshold)
 
 
 def check_tp(ms, tol: Tolerance = DEFAULT_TOL) -> Verdict:

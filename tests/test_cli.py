@@ -1,10 +1,15 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import FAULT_FILES, write_channel, write_matrix
 
+import hsdual.cli
 from hsdual.io import format_matrix, parse_matrix
 from hsdual.linalg import random_unitary
+from hsdual.selftest import run_suites
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -112,6 +117,8 @@ def test_fault_file_exits_2_with_one_error_line(cli, tmp_path, name):
 
 # A valid file whose entries are near the double limit: the products each
 # command forms overflow, and it must refuse with one line, not print inf or nan.
+# schmidt forms no product of entries, so its vector has a Schmidt coefficient
+# (sqrt(2) * 1.5e308) beyond the double range.
 NEAR_LIMIT = np.array([[1e300, 0], [0, 1]])
 OVERFLOW_CALLS = {
     "compose": ("compose", "{ch}"),
@@ -119,7 +126,7 @@ OVERFLOW_CALLS = {
     "check-cp": ("check", "--cp", "{ch}"),
     "check-tp": ("check", "--tp", "{ch}"),
     "vec-basis-h1": ("vec", "{eye}", "--basis-h1", "{big}"),
-    "schmidt": ("schmidt", "{col}", "--d1", "2", "--d2", "2"),
+    "schmidt": ("schmidt", "{wide}", "--d1", "2", "--d2", "2"),
 }
 
 
@@ -129,6 +136,7 @@ def near_limit_files(tmp_path):
         "big": write_matrix(tmp_path / "big.json", NEAR_LIMIT),
         "eye": write_matrix(tmp_path / "eye.json", np.eye(2)),
         "col": write_matrix(tmp_path / "col.json", NEAR_LIMIT.reshape(-1)),
+        "wide": write_matrix(tmp_path / "wide.json", np.array([1.5e308, 1.5e308, 0, 0])),
     }
 
 
@@ -145,6 +153,16 @@ def test_entries_near_the_limit_pass_where_nothing_overflows(cli, tmp_path):
     code, out, err = cli("vec", files["big"])
     assert (code, err) == (0, "")
     assert np.array_equal(parse_matrix(out)[:, 0], NEAR_LIMIT.T.reshape(-1))
+    code, out, err = cli("schmidt", files["col"], "--d1", "2", "--d2", "2")
+    assert (code, out, err) == (0, "lambdas: 1e+300 1\nrank: 1\nentangled: no\n", "")
+
+
+def test_schmidt_rank_of_coefficients_past_1e154(cli, tmp_path):
+    # The sum of squares of these coefficients overflows; their rank does not.
+    path = write_matrix(tmp_path / "v.json", np.array([1e200, 0, 0, 1e200]))
+    code, out, err = cli("schmidt", path, "--d1", "2", "--d2", "2")
+    assert (code, err) == (0, "")
+    assert "rank: 2\nentangled: yes\n" in out
 
 
 def test_choi_identity_golden(cli, tmp_path):
@@ -194,6 +212,14 @@ def test_check_golden_stdout(cli, tmp_path):
         1,
         "cp: PASS (min eigenvalue = 0)\ntp: FAIL (deviation = 3)\n",
     )
+
+
+def test_check_cp_of_low_rank_channel_prints_structural_zero(cli, tmp_path):
+    # k < d^2: the Choi matrix V V* has a null space, so its least eigenvalue is 0.
+    from hsdual.selftest import random_tp_kraus
+
+    path = write_channel(tmp_path / "c.json", random_tp_kraus(4, 2, np.random.default_rng(6)))
+    assert cli("check", path, "--cp")[:2] == (0, "cp: PASS (min eigenvalue = 0)\n")
 
 
 def test_check_scaled_identity_fails_tp(cli, tmp_path):
@@ -273,6 +299,20 @@ def test_selftest_single_suite(cli):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 5
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_superop_choi_and_bench_suites_pass(seed):
+    failed = [(suite, prop) for suite, prop, v in run_suites(["superop", "choi", "bench-sanity"], seed) if not v.passed]
+    assert failed == []
+
+
+def test_every_traced_cli_name_is_an_attribute_of_the_cli(monkeypatch):
+    # hsbench/tracing.py wraps each CLI_SPANS key with getattr on hsdual.cli,
+    # so a name dropped from cli.py would crash every traced benchmark run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "hsbench"))
+    tracing = importlib.import_module("tracing")
+    assert [name for name in tracing.CLI_SPANS if not hasattr(hsdual.cli, name)] == []
 
 
 def test_selftest_unknown_suite_exits_2(cli):

@@ -12,6 +12,7 @@ from hsdual.linalg import (
     kron,
     min_eigenvalue,
     operator_norm,
+    psd_check,
 )
 from hsdual.selftest import random_tp_kraus
 from hsdual.superop import (
@@ -195,6 +196,49 @@ def test_choi_positivity_of_kraus_channels():
         d = int(rng.integers(2, 4))
         ms = random_tp_kraus(d, int(rng.integers(1, 4)), rng)
         assert check_cp(HSMap.from_kraus(ms), Basis.standard(d)).passed
+
+
+GRAM_CP_CASES = sorted({(d, k) for d in (1, 2, 3, 5, 8) for k in (1, 2, d * d - 1, d * d, d * d + 1) if k >= 1})
+
+
+@pytest.mark.parametrize("d,k", GRAM_CP_CASES)
+def test_gram_cp_verdict_matches_choi_eigensolve(d, k):
+    # Oracle: psd_check of the built Choi matrix.  A stack of plain Gaussian
+    # blocks is CP but not TP; the scales probe over- and underflow margins.
+    rng = np.random.default_rng(100 * d + k)
+    stack = np.stack([complex_gaussian(d, d, rng) for _ in range(k)])
+    for basis in (Basis.standard(d), Basis.random(d, 100 * d + k)):
+        for scale in (1.0, 1e100, 1e-100):
+            ms = scale * stack
+            v = check_cp(HSMap.from_kraus(ms), basis)
+            oracle = psd_check(kraus_to_choi(ms, basis))
+            assert v.passed == oracle.passed
+            assert abs(v.threshold - oracle.threshold) <= 1e-12 * abs(oracle.threshold)
+            if k < d * d:
+                assert v.value == 0.0
+            else:
+                assert v.value == oracle.value
+
+
+def test_gram_cp_fails_when_lambda_max_overflows():
+    ms = np.array([[[1e300, 0], [0, 1]]])  # as psd_check of the Choi matrix does
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not check_cp(HSMap.from_kraus(ms), Basis.standard(2)).passed
+
+
+def test_gram_cp_never_builds_the_choi_matrix():
+    import tracemalloc
+
+    d = 32
+    b = HSMap.from_kraus(random_tp_kraus(d, 2, np.random.default_rng(24)))
+    tracemalloc.start()
+    try:
+        v = check_cp(b, Basis.standard(d))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.passed and v.value == 0.0
+    assert peak < 1 << 20  # the d^4 Choi matrix alone is 16 MiB
 
 
 def test_choi_matches_entangled_state_form_for_kraus():
@@ -401,6 +445,8 @@ def test_superoperator_cap_refuses_d33():
         SuperOp.from_kraus(ms, Basis.standard(d))
     with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
         choi_map(HSMap.from_kraus(ms), Basis.standard(d))
+    with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
+        check_cp(HSMap.from_kraus(ms), Basis.standard(d))
     assert kraus_to_r_kron([np.eye(32, dtype=complex)]).shape == (1024, 1024)
 
 
