@@ -53,7 +53,6 @@ from .entangle import (
     schmidt,
     schmidt_rank,
 )
-from .bench import BenchConfig, BenchReport, run_bench
 
 __all__ = [
     "DimensionMismatchError",
@@ -105,3 +104,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The benchmark loads on first use, so that importing hsdual, and every
+    # CLI command but bench and selftest, skips it.
+    if name in ("BenchConfig", "BenchReport", "run_bench"):
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

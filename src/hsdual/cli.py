@@ -9,12 +9,12 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
 import numpy as np
 
-from .bench import BenchConfig, CSV_COLUMNS, run_bench
 from .entangle import schmidt
 from .io import FormatError, fmt_number, format_matrix, load_channel, load_matrix
 from .linalg import DimensionMismatchError, Tolerance, complex_gaussian
@@ -22,7 +22,6 @@ from .linalg import DimensionMismatchError, Tolerance, complex_gaussian
 # hsbench/tracing.py wraps these names on this module, so they must stay importable.
 from .linalg import is_hermitian, min_eigenvalue, operator_norm  # noqa: F401
 from .superop import HSMap, SuperOp, check_cp, choi_map, compose, kraus_apply, tp_deviation, tp_verdict
-from .selftest import SUITES, run_suites
 from .vectorize import Basis, BasisPair, devec_jstar, vec_j
 
 EXIT_OK = 0
@@ -153,7 +152,19 @@ def cmd_schmidt(args) -> int:
     return EXIT_OK
 
 
+def _suite(name: str) -> str:
+    """The --suite value, checked against the suites selftest defines."""
+    from .selftest import SUITES
+
+    if name != "all" and name not in SUITES:
+        choices = ", ".join(map(repr, ["all", *sorted(SUITES)]))
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {choices})")
+    return name
+
+
 def cmd_selftest(args) -> int:
+    from .selftest import SUITES, run_suites
+
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     ok = True
     for suite, prop, v in run_suites(names, args.seed):
@@ -163,6 +174,8 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import BenchConfig, CSV_COLUMNS, run_bench
+
     _guard_dims(args.dim)
     cfg = BenchConfig(
         dim=args.dim,
@@ -230,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_schmidt)
 
     p = sub.add_parser("selftest", help="run the property suites")
-    p.add_argument("--suite", choices=["all", *sorted(SUITES)], default="all")
+    p.add_argument("--suite", type=_suite, default="all", help="all, or the name of one property suite")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_selftest)
 
@@ -263,5 +276,18 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
+def console_main() -> int:
+    """Process entry of ``python -m hsdual`` and the ``hsdual`` script.
+
+    The process runs one command and exits, so the objects made while
+    importing numpy and hsdual are frozen out of the garbage collector:
+    neither a full collection during the command nor the ones at exit walks
+    them.  ``main`` itself leaves the collector alone, since tests and
+    harnesses call it many times in one process.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -34,26 +34,35 @@ class SchmidtResult:
         return rank_from_lambdas(self.lambdas)
 
 
+def _check_finite(lambdas: np.ndarray) -> None:
+    """FloatingPointError if a Schmidt coefficient is beyond the double range:
+    numpy runs its SVD with overflow ignored, so nothing else reports it."""
+    if not np.isfinite(lambdas).all():
+        raise FloatingPointError("overflow encountered in svd: a Schmidt coefficient exceeds the double range")
+
+
 def rank_from_lambdas(lambdas: np.ndarray) -> int:
     """Number of Schmidt coefficients above 1e-10 times their norm.
 
     The norm is taken as lambda_max * ||lambda / lambda_max||, whose sum of
     squares cannot overflow however large the coefficients are.  A coefficient
-    beyond the double range (the SVD overflowed, which numpy does not report)
-    raises FloatingPointError.
+    beyond the double range raises FloatingPointError.
     """
+    _check_finite(lambdas)
     top = float(np.max(lambdas, initial=0.0))
-    if not np.isfinite(top):
-        raise FloatingPointError("overflow encountered in svd: a Schmidt coefficient exceeds the double range")
     if top == 0.0:
         return 0
     return int(np.count_nonzero(lambdas > 1e-10 * top * float(np.linalg.norm(lambdas / top))))
 
 
 def schmidt(alpha, bases: BasisPair) -> SchmidtResult:
-    """Schmidt decomposition of a bipartite vector relative to the given bases."""
+    """Schmidt decomposition of a bipartite vector relative to the given bases.
+
+    A coefficient beyond the double range raises FloatingPointError.
+    """
     a = devec_jstar(alpha, bases)
     w, s, x = svd(a)  # a == w @ diag(s) @ x.conj().T
+    _check_finite(s)
     # Phase convention: the first entry above 1e-12 of each (unit) x-column is
     # made real nonnegative, the w-column absorbing the compensating phase.
     first = x[np.argmax(np.abs(x) > 1e-12, axis=0), np.arange(x.shape[1])]

@@ -1,15 +1,19 @@
+import contextlib
 import importlib
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FAULT_FILES, write_channel, write_matrix
 
 import hsdual.cli
 from hsdual.io import format_matrix, parse_matrix
 from hsdual.linalg import random_unitary
-from hsdual.selftest import run_suites
+from hsdual.selftest import SUITES, run_suites
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -54,6 +58,41 @@ def test_vec_devec_round_trip_bit_exact(cli, tmp_path):
     code, devec_out, _ = cli("devec", str(vpath), "--d1", "2", "--d2", "2")
     assert code == 0
     assert devec_out == format_matrix(mat)
+
+
+# Signed zeros, subnormals, the double range's ends and any other finite value.
+EDGE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def edge_operators(draw):
+    d2, d1 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    a = np.empty((d2, d1), dtype=complex)
+    a.real.flat = draw(st.lists(EDGE_ENTRIES, min_size=a.size, max_size=a.size))
+    a.imag.flat = draw(st.lists(EDGE_ENTRIES, min_size=a.size, max_size=a.size))
+    return a
+
+
+def main_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert hsdual.cli.main(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(edge_operators())
+def test_vec_devec_round_trip_through_the_cli_is_value_exact(tmp_path_factory, a):
+    # format_matrix writes -0.0 as 0, so values are compared with ==, not bitwise.
+    d2, d1 = a.shape
+    tmp = tmp_path_factory.mktemp("round-trip")
+    vpath = tmp / "v.json"
+    vpath.write_text(main_stdout("vec", write_matrix(tmp / "a.json", a)))
+    assert np.array_equal(parse_matrix(vpath.read_text())[:, 0], a.reshape(-1, order="F"))
+    assert np.array_equal(parse_matrix(main_stdout("devec", str(vpath), "--d1", str(d1), "--d2", str(d2))), a)
 
 
 def test_vec_with_basis_files(cli, tmp_path):
@@ -319,6 +358,13 @@ def test_selftest_unknown_suite_exits_2(cli):
     code, _, err = cli("selftest", "--suite", "nonsense")
     assert code == 2
     assert "usage" in err
+    choices = ", ".join(map(repr, ["all", *sorted(SUITES)]))
+    assert err.splitlines()[-1].endswith(f"argument --suite: invalid choice: 'nonsense' (choose from {choices})")
+
+
+def test_selftest_suite_defaults_to_all():
+    parser = hsdual.cli.build_parser()
+    assert parser.parse_args(["selftest"]).suite == parser.parse_args(["selftest", "--suite", "all"]).suite == "all"
 
 
 def test_selftest_deterministic(cli):

@@ -45,6 +45,16 @@ def test_zero_vector():
     assert not is_entangled(np.zeros(4), 2, 2)
 
 
+def test_schmidt_refuses_a_coefficient_past_the_double_range():
+    # The top coefficient, sqrt(2) * 1.5e308, overflows inside the SVD, which
+    # numpy does not report.
+    v = np.array([1.5e308, 1.5e308, 0, 0])
+    with pytest.raises(FloatingPointError, match="exceeds the double range"):
+        schmidt(v, BasisPair.standard(2, 2))
+    with pytest.raises(FloatingPointError, match="exceeds the double range"):
+        schmidt_rank(v, 2, 2)
+
+
 def test_reconstruction_random():
     rng = np.random.default_rng(2)
     for _ in range(100):
