@@ -8,7 +8,9 @@ vectorization of A is exactly column-stacking of A.
 
 With standard bases vec_j, devec_jstar and partial_slice are reshapes of the
 data and allocate nothing of size (d1*d2)^2.  Other bases go through
-kron(U1, U2), so they are bounded by MAX_KRON_ENTRIES (d1*d2 <= 1024).
+kron(U1, U2), so they are bounded by MAX_KRON_ENTRIES (d1*d2 <= 1024).  A
+basis change builds that one (d1*d2)^2 complex array (16 MiB at the cap) and
+applies its adjoint in place: only vectors are conjugated, never the matrix.
 vec_t (sum_j phi_j (x) A phi_j) and devec_via_slices (sum_j |P_j alpha><phi_j|)
 are independent constructions that the tests compare against.
 """
@@ -23,7 +25,6 @@ import numpy as np
 from .linalg import (
     DimensionMismatchError,
     Tolerance,
-    adjoint,
     as_matrix,
     as_vector,
     kron,
@@ -141,6 +142,15 @@ def conjugate_in_basis(basis: Basis, phi) -> np.ndarray:
     return basis.u @ np.conj(basis.u.conj().T @ phi)
 
 
+def _product_coefficients(alpha: np.ndarray, bases: BasisPair) -> np.ndarray:
+    """beta = (U1 (x) U2)* alpha: beta[j*d2 + i] = <phi_j (x) psi_i, alpha>.
+
+    conj(W^T conj(alpha)) equals W* alpha entry for entry, so the Kronecker
+    matrix W is the only (d1*d2)^2 array; no conjugated copy of it is made.
+    """
+    return np.conj(kron(bases.b1.u, bases.b2.u).T @ np.conj(alpha))
+
+
 def vec_j(a, bases: BasisPair) -> np.ndarray:
     """Vectorize an operator: sum_{i,j} <psi_i, A phi_j> phi_j (x) psi_i.
 
@@ -159,7 +169,7 @@ def devec_jstar(alpha, bases: BasisPair) -> np.ndarray:
     d1, d2 = bases.d1, bases.d2
     if _standard(bases):
         return alpha.reshape(d1, d2).T.copy()
-    beta = adjoint(kron(bases.b1.u, bases.b2.u)) @ alpha
+    beta = _product_coefficients(alpha, bases)
     coeff = beta.reshape(d1, d2).T  # coeff[i, j] = <phi_j (x) psi_i, alpha>
     return bases.b2.u @ coeff @ bases.b1.u.conj().T
 
@@ -190,7 +200,7 @@ def partial_slice(i: int, alpha, bases: BasisPair) -> np.ndarray:
     d2 = bases.d2
     if _standard(bases):
         return alpha[i * d2 : (i + 1) * d2].copy()
-    beta = adjoint(kron(bases.b1.u, bases.b2.u)) @ alpha
+    beta = _product_coefficients(alpha, bases)
     return bases.b2.u @ beta[i * d2 : (i + 1) * d2]
 
 

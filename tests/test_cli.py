@@ -109,6 +109,36 @@ def test_vec_with_basis_files(cli, tmp_path):
     assert np.abs(parse_matrix(out)[:, 0] - expected).max() < 1e-12
 
 
+def test_basis_files_need_d1_d2_at_most_1024(cli, tmp_path):
+    # The README's dimension rule: a basis change builds kron(U1, U2), so vec
+    # and devec with basis files run at 32x32 and exit 3 at 40x40.
+    rng = np.random.default_rng(31)
+    for d, code_expected in ((32, 0), (40, 3)):
+        u1, u2 = random_unitary(d, 2 * d), random_unitary(d, 2 * d + 1)
+        b1 = write_matrix(tmp_path / f"b1-{d}.json", u1)
+        b2 = write_matrix(tmp_path / f"b2-{d}.json", u2)
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        alpha = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        mpath = write_matrix(tmp_path / f"a-{d}.json", a)
+        vpath = write_matrix(tmp_path / f"v-{d}.json", alpha)
+        vec = cli("vec", mpath, "--basis-h1", b1, "--basis-h2", b2)
+        devec = cli("devec", vpath, "--d1", str(d), "--d2", str(d), "--basis-h1", b1, "--basis-h2", b2)
+        for code, out, err in (vec, devec):
+            assert code == code_expected
+            if code_expected:
+                assert out == "" and err.count("\n") == 1
+                assert err.startswith("error: ") and "kron result would have" in err
+        if code_expected:
+            continue
+
+        # Plain-numpy oracle: C[i, j] = <psi_i, A phi_j>, vec_j(A) = (U1 C^T U2^T).reshape(-1).
+        def oracle(m):
+            return (u1 @ (u2.conj().T @ m @ u1).T @ u2.T).reshape(-1)
+
+        assert np.abs(parse_matrix(vec[1])[:, 0] - oracle(a)).max() < 1e-12
+        assert np.abs(oracle(parse_matrix(devec[1])) - alpha).max() < 1e-12
+
+
 def test_vec_rejects_non_unitary_basis(cli, tmp_path):
     mpath = write_matrix(tmp_path / "m.json", np.eye(2))
     bad = write_matrix(tmp_path / "bad.json", np.array([[1.0, 1.0], [0.0, 1.0]]))

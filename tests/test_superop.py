@@ -32,7 +32,8 @@ from hsdual.superop import (
     m_alpha,
     tp_deviation,
 )
-from hsdual.vectorize import Basis, BasisPair, devec_jstar, phi_plus, vec_j, vec_t
+from hsdual.entangle import schmidt
+from hsdual.vectorize import Basis, BasisPair, devec_jstar, partial_slice, phi_plus, vec_j, vec_t
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -239,6 +240,31 @@ def test_gram_cp_never_builds_the_choi_matrix():
         tracemalloc.stop()
     assert v.passed and v.value == 0.0
     assert peak < 1 << 20  # the d^4 Choi matrix alone is 16 MiB
+
+
+@pytest.mark.parametrize("name", ["vec_j", "devec_jstar", "partial_slice", "schmidt"])
+def test_basis_change_builds_one_kron_sized_array(name):
+    import tracemalloc
+
+    d1, d2 = 32, 32  # d1*d2 = 1024, the kron cap
+    rng = np.random.default_rng(25)
+    bases = BasisPair(Basis.random(d1, 26), Basis.random(d2, 27))
+    a = complex_gaussian(d2, d1, rng)
+    alpha = a.reshape(-1)
+    call = {
+        "vec_j": lambda: vec_j(a, bases),
+        "devec_jstar": lambda: devec_jstar(alpha, bases),
+        "partial_slice": lambda: partial_slice(d1 - 1, alpha, bases),
+        "schmidt": lambda: schmidt(alpha, bases),
+    }[name]
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # kron(U1, U2) alone is (d1*d2)^2 complex entries; a conjugated copy doubles it.
+    assert peak <= 1.1 * (d1 * d2) ** 2 * 16
 
 
 def test_choi_matches_entangled_state_form_for_kraus():

@@ -260,7 +260,11 @@ def test_dimension_mismatches_raise():
         conjugate_in_basis(Basis.standard(2), np.zeros(3))
 
 
-BASIS_CHANGE_SHAPES = [(1, 1), (2, 2), (3, 3), (5, 5), (8, 8), (1, 3), (3, 1), (2, 5), (8, 3), (5, 8)]
+# The last three are the shapes lib-apply runs, up to the kron cap d1*d2 = 1024.
+BASIS_CHANGE_SHAPES = [
+    (1, 1), (2, 2), (3, 3), (5, 5), (8, 8), (1, 3), (3, 1), (2, 5), (8, 3), (5, 8),
+    (32, 32), (24, 40), (16, 64),
+]
 
 
 @pytest.mark.parametrize("d1,d2", BASIS_CHANGE_SHAPES)
