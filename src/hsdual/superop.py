@@ -143,11 +143,6 @@ class HSMap:
         """Dense map in the matrix-unit basis: mat acts on column-stacked operators."""
         return lower_s(mat, BasisPair.standard(d1, d2))
 
-    def matrix(self) -> np.ndarray:
-        """Dense matrix in the matrix-unit basis (probe on standard matrix units);
-        equals the R-matrix with standard bases."""
-        return lift_r(self, BasisPair.standard(self.d1, self.d2))
-
 
 @dataclass(frozen=True)
 class SuperOp:

@@ -7,10 +7,11 @@ phi[j] * psi[i] (first factor index-major), so with standard bases the
 vectorization of A is exactly column-stacking of A.
 
 With standard bases vec_j, devec_jstar and partial_slice are reshapes of the
-data and allocate nothing of size (d1*d2)^2.  Other bases go through
-kron(U1, U2), so they are bounded by MAX_KRON_ENTRIES (d1*d2 <= 1024).  A
-basis change builds that one (d1*d2)^2 complex array (16 MiB at the cap) and
-applies its adjoint in place: only vectors are conjugated, never the matrix.
+data and allocate nothing of size (d1*d2)^2.  In other bases vec_j is the
+closed form (J1 A^T) flattened, J1 = U1 U1^T, which does not depend on the H2
+basis.  Only devec_jstar and partial_slice build kron(U1, U2), one (d1*d2)^2
+complex array bounded by MAX_KRON_ENTRIES (d1*d2 <= 1024, 16 MiB at the cap),
+and apply its adjoint in place: only vectors are conjugated, never the matrix.
 vec_t (sum_j phi_j (x) A phi_j) and devec_via_slices (sum_j |P_j alpha><phi_j|)
 are independent constructions that the tests compare against.
 """
@@ -154,13 +155,14 @@ def _product_coefficients(alpha: np.ndarray, bases: BasisPair) -> np.ndarray:
 def vec_j(a, bases: BasisPair) -> np.ndarray:
     """Vectorize an operator: sum_{i,j} <psi_i, A phi_j> phi_j (x) psi_i.
 
+    Summing over i leaves sum_j phi_j (x) A phi_j, which is (J1 A^T) flattened
+    with J1 = U1 U1^T: the H2 basis cancels and no (d1*d2)^2 array is built.
     With standard bases this is column-stacking of the matrix of A.
     """
     a = _check_operator(a, bases)
     if _standard(bases):
         return a.flatten(order="F")  # column-stack: index j*d2 + i
-    coeff = bases.b2.u.conj().T @ a @ bases.b1.u  # coeff[i, j] = <psi_i, A phi_j>
-    return kron(bases.b1.u, bases.b2.u) @ coeff.T.reshape(-1)
+    return (bases.b1.conjugation @ a.T).reshape(-1)
 
 
 def devec_jstar(alpha, bases: BasisPair) -> np.ndarray:

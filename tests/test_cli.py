@@ -109,34 +109,36 @@ def test_vec_with_basis_files(cli, tmp_path):
     assert np.abs(parse_matrix(out)[:, 0] - expected).max() < 1e-12
 
 
-def test_basis_files_need_d1_d2_at_most_1024(cli, tmp_path):
-    # The README's dimension rule: a basis change builds kron(U1, U2), so vec
-    # and devec with basis files run at 32x32 and exit 3 at 40x40.
+def test_basis_files_cap_devec_not_vec_at_d1_d2_1024(cli, tmp_path):
+    # The README's dimension rule: vec with basis files uses the closed form
+    # J1 A^T and runs at every size up to HSDUAL_MAX_DIM; devec still builds
+    # kron(U1, U2), so it runs at 32x32 and exits 3 above d1*d2 = 1024.
     rng = np.random.default_rng(31)
-    for d, code_expected in ((32, 0), (40, 3)):
-        u1, u2 = random_unitary(d, 2 * d), random_unitary(d, 2 * d + 1)
-        b1 = write_matrix(tmp_path / f"b1-{d}.json", u1)
-        b2 = write_matrix(tmp_path / f"b2-{d}.json", u2)
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        alpha = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-        mpath = write_matrix(tmp_path / f"a-{d}.json", a)
-        vpath = write_matrix(tmp_path / f"v-{d}.json", alpha)
-        vec = cli("vec", mpath, "--basis-h1", b1, "--basis-h2", b2)
-        devec = cli("devec", vpath, "--d1", str(d), "--d2", str(d), "--basis-h1", b1, "--basis-h2", b2)
-        for code, out, err in (vec, devec):
-            assert code == code_expected
-            if code_expected:
-                assert out == "" and err.count("\n") == 1
-                assert err.startswith("error: ") and "kron result would have" in err
-        if code_expected:
-            continue
+    for d1, d2 in ((32, 32), (40, 40), (64, 24), (64, 64)):
+        u1, u2 = random_unitary(d1, 2 * d1), random_unitary(d2, 2 * d2 + 1)
+        b1 = write_matrix(tmp_path / f"b1-{d1}x{d2}.json", u1)
+        b2 = write_matrix(tmp_path / f"b2-{d1}x{d2}.json", u2)
 
         # Plain-numpy oracle: C[i, j] = <psi_i, A phi_j>, vec_j(A) = (U1 C^T U2^T).reshape(-1).
         def oracle(m):
             return (u1 @ (u2.conj().T @ m @ u1).T @ u2.T).reshape(-1)
 
-        assert np.abs(parse_matrix(vec[1])[:, 0] - oracle(a)).max() < 1e-12
-        assert np.abs(oracle(parse_matrix(devec[1])) - alpha).max() < 1e-12
+        a = rng.standard_normal((d2, d1)) + 1j * rng.standard_normal((d2, d1))
+        mpath = write_matrix(tmp_path / f"a-{d1}x{d2}.json", a)
+        code, out, err = cli("vec", mpath, "--basis-h1", b1, "--basis-h2", b2)
+        assert code == 0 and err == ""
+        assert np.abs(parse_matrix(out)[:, 0] - oracle(a)).max() < 1e-12
+
+        alpha = rng.standard_normal(d1 * d2) + 1j * rng.standard_normal(d1 * d2)
+        vpath = write_matrix(tmp_path / f"v-{d1}x{d2}.json", alpha)
+        dims = ("--d1", str(d1), "--d2", str(d2))
+        code, out, err = cli("devec", vpath, *dims, "--basis-h1", b1, "--basis-h2", b2)
+        if d1 * d2 <= 1024:
+            assert code == 0
+            assert np.abs(oracle(parse_matrix(out)) - alpha).max() < 1e-12
+        else:
+            assert code == 3 and out == "" and err.count("\n") == 1
+            assert err.startswith("error: ") and "kron result would have" in err
 
 
 def test_vec_rejects_non_unitary_basis(cli, tmp_path):

@@ -64,7 +64,9 @@ def test_lift_rank_matches():
     e11[0, 0] = 1
     trace_map = HSMap(d, d, lambda a: np.trace(a) * e11)
     r = lift_r(trace_map, BasisPair.standard(d, d))
-    mat = trace_map.matrix()
+    # The map on column-stacked operators: vec(A) -> vec(e11) * (vec(I)^T vec(A)).
+    mat = np.outer(e11.flatten(order="F"), np.eye(d).flatten(order="F"))
+    assert np.abs(r - mat).max() < 1e-12
     rank_r = np.linalg.matrix_rank(r, tol=1e-10)
     rank_m = np.linalg.matrix_rank(mat, tol=1e-10)
     assert rank_r == rank_m == 1
@@ -74,7 +76,7 @@ def test_matrix_unit_matrix_equals_standard_lift():
     rng = np.random.default_rng(3)
     mat = complex_gaussian(6, 6, rng)
     b = HSMap.from_matrix(mat, 3, 2)
-    assert np.abs(b.matrix() - mat).max() < 1e-12
+    assert np.abs(lift_r(b, BasisPair.standard(3, 2)) - mat).max() < 1e-12
 
 
 def test_lower_s_inverts_lift_r():
@@ -242,8 +244,20 @@ def test_gram_cp_never_builds_the_choi_matrix():
     assert peak < 1 << 20  # the d^4 Choi matrix alone is 16 MiB
 
 
-@pytest.mark.parametrize("name", ["vec_j", "devec_jstar", "partial_slice", "schmidt"])
-def test_basis_change_builds_one_kron_sized_array(name):
+# kron(U1, U2) alone is (d1*d2)^2 complex entries; a conjugated copy would double it.
+KRON_BYTES_32X32 = (32 * 32) ** 2 * 16
+
+
+@pytest.mark.parametrize(
+    "name,bound",
+    [
+        pytest.param("vec_j", 1 << 20, id="vec_j"),  # closed form J1 A^T: no kron at all
+        pytest.param("devec_jstar", 1.1 * KRON_BYTES_32X32, id="devec_jstar"),
+        pytest.param("partial_slice", 1.1 * KRON_BYTES_32X32, id="partial_slice"),
+        pytest.param("schmidt", 1.1 * KRON_BYTES_32X32, id="schmidt"),
+    ],
+)
+def test_basis_change_builds_one_kron_sized_array(name, bound):
     import tracemalloc
 
     d1, d2 = 32, 32  # d1*d2 = 1024, the kron cap
@@ -263,8 +277,7 @@ def test_basis_change_builds_one_kron_sized_array(name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # kron(U1, U2) alone is (d1*d2)^2 complex entries; a conjugated copy doubles it.
-    assert peak <= 1.1 * (d1 * d2) ** 2 * 16
+    assert peak < bound
 
 
 def test_choi_matches_entangled_state_form_for_kraus():

@@ -286,6 +286,18 @@ def test_basis_changes_match_kron_formulas(d1, d2):
             assert np.abs(partial_slice(i, alpha, bases) - slice_ref).max() < 1e-13
 
 
+@pytest.mark.parametrize("d1,d2", [(40, 40), (64, 24), (64, 64)])
+def test_vec_j_closed_form_beyond_the_old_kron_cap(d1, d2):
+    # d1*d2 > 1024: kron(U1, U2) would be refused here, the closed form J1 A^T is not.
+    bases = rand_pair(d1, d2, d1 + 3 * d2)
+    a = complex_gaussian(d2, d1, np.random.default_rng(d1 * d2))
+    v = vec_j(a, bases)
+    assert np.abs(v - vec_t(a, bases.b1)).max() < 1e-13
+    # The paper's H2-independence: another H2 basis gives the same vector.
+    other = BasisPair(bases.b1, Basis.random(d2, d1 + 3 * d2 + 1))
+    assert np.abs(vec_j(a, other) - v).max() < 1e-13
+
+
 def test_basis_conjugation_matrix():
     b = Basis.random(4, 3)
     assert np.abs(b.conjugation - b.u @ b.u.T).max() == 0
