@@ -1,5 +1,35 @@
+"""Process entry of ``python -m hsdual`` and of the ``hsdual`` console script."""
+
+import gc
+import os
 import sys
 
-from .cli import console_main
 
-sys.exit(console_main())
+def console_main() -> None:
+    """Run one command in this process, then end the process.
+
+    The collector is off while numpy and hsdual are imported, and the
+    objects made then are frozen out of it, so no collection walks them,
+    during the command or after it.  After the output is flushed the process
+    ends with ``os._exit``: interpreter teardown would only free memory that
+    the operating system takes back anyway (hsdual and numpy register no
+    ``atexit`` handler).  ``cli.main`` leaves the collector alone and
+    returns, since tests and harnesses call it many times in one process.
+    Usage errors and ``--help`` still leave through ``SystemExit``.
+    """
+    gc.disable()
+    from . import cli
+
+    gc.freeze()
+    gc.enable()
+    code = cli.main()
+    try:
+        sys.stdout.flush()
+    except OSError as e:
+        code = cli.output_error(e)
+    sys.stderr.flush()
+    os._exit(code)
+
+
+if __name__ == "__main__":
+    console_main()

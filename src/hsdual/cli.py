@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success / all checks pass, 1 a semantic check failed, 2 usage
-or parse error, 3 dimension error.  All numeric output uses 17 significant
+Exit codes: 0 success / all checks pass, 1 a semantic check failed, 2 usage,
+parse or I/O error, 3 dimension error.  All numeric output uses 17 significant
 digits unless --digits is given, so identical invocations produce
 byte-identical output.
 """
@@ -9,7 +9,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 
@@ -258,6 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def output_error(e: OSError) -> int:
+    """Report a failed write to stdout (a full disk, a closed pipe)."""
+    print(f"error: cannot write output: {e}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -274,20 +279,9 @@ def main(argv=None) -> int:
     except (ValueError, FloatingPointError) as e:  # FormatError, malformed flags or settings, overflow
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-
-
-def console_main() -> int:
-    """Process entry of ``python -m hsdual`` and the ``hsdual`` script.
-
-    The process runs one command and exits, so the objects made while
-    importing numpy and hsdual are frozen out of the garbage collector:
-    neither a full collection during the command nor the ones at exit walks
-    them.  ``main`` itself leaves the collector alone, since tests and
-    harnesses call it many times in one process.
-    """
-    gc.freeze()
-    return main()
+    except OSError as e:  # io reads files itself and reports its errors as FormatError
+        return output_error(e)
 
 
 if __name__ == "__main__":
-    sys.exit(console_main())
+    sys.exit(main())

@@ -9,7 +9,7 @@ at once, with no phase mismatch between separately diagonalized marginals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .superop import HSMap, lower_s
 from .vectorize import BasisPair, devec_jstar
 
 
-@dataclass(frozen=True)
-class SchmidtResult:
+class SchmidtResult(NamedTuple):
     """Singular values plus the two orthonormal vector families.
 
     Reconstruction: alpha == sum_i lambdas[i] * kron(left[:, i], right[:, i]).

@@ -7,7 +7,7 @@ no global state (random generation is seeded explicitly by the caller).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ def guard_entries(entries: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(NamedTuple):
     """Absolute/relative comparison tolerance: pass iff |x-y| <= abs + rel*max(|x|,|y|)."""
 
     abs: float = 1e-10
@@ -133,8 +132,7 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a PASS/FAIL check: the measured value (a least eigenvalue
     or a deviation) and the threshold it was held to."""
 

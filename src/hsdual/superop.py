@@ -51,8 +51,7 @@ is refused above ``MAX_KRON_ENTRIES`` entries (``guard_entries``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -144,8 +143,7 @@ class HSMap:
         return lower_s(mat, BasisPair.standard(d1, d2))
 
 
-@dataclass(frozen=True)
-class SuperOp:
+class SuperOp(NamedTuple):
     """A superoperator pinned to its canonical R-matrix representation."""
 
     rmatrix: np.ndarray

@@ -18,8 +18,8 @@ are independent constructions that the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,23 +33,28 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Orthonormal basis of C^d: a unitary whose columns are the basis vectors.
-
-    ``u`` is treated as immutable: ``is_standard`` and ``conjugation`` are
-    computed once per basis.
-    """
-
+class _BasisFields(NamedTuple):
     u: np.ndarray
 
-    def __post_init__(self):
-        u = as_matrix(self.u)
+
+class Basis(_BasisFields):
+    """Orthonormal basis of C^d: a unitary whose columns are the basis vectors.
+
+    ``u`` is read-only and treated as immutable: ``is_standard`` and
+    ``conjugation`` are computed once per basis.
+    """
+
+    def __new__(cls, u):
+        u = as_matrix(u)
         if u.shape[0] != u.shape[1]:
             raise DimensionMismatchError("Basis: matrix must be square")
         if not Tolerance(abs=1e-10, rel=0.0).close(u.conj().T @ u, np.eye(u.shape[0])):
             raise ValueError("Basis: columns are not orthonormal within 1e-10")
-        object.__setattr__(self, "u", u)
+        return super().__new__(cls, u)
+
+    def __setattr__(self, name, value):
+        # The instance dict holds only the cached properties below.
+        raise AttributeError(f"cannot assign to {name!r}: Basis is read-only")
 
     @property
     def dim(self) -> int:
@@ -90,8 +95,7 @@ class Basis:
         return Basis(q)
 
 
-@dataclass(frozen=True)
-class BasisPair:
+class BasisPair(NamedTuple):
     """Bases for the two factors: b1 for H1 (dimension d1), b2 for H2 (d2)."""
 
     b1: Basis

@@ -14,6 +14,7 @@ import pytest
 from conftest import write_channel, write_matrix
 
 import hsdual
+import hsdual.__main__
 import hsdual.cli
 from hsdual.superop import random_tp_kraus
 
@@ -21,13 +22,18 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(hsdual.__file__).resolve().parents[1]
 
 
-def hsdual_process(*argv, flags=()):
-    """Run ``python [flags] -m hsdual argv`` on these sources; (exit code, stdout, stderr)."""
+def python_process(*args, stdout=subprocess.PIPE):
+    """Run ``python args`` on these sources; (exit code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, *flags, "-m", "hsdual", *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def hsdual_process(*argv, flags=()):
+    """Run ``python [flags] -m hsdual argv`` on these sources; (exit code, stdout, stderr)."""
+    return python_process(*flags, "-m", "hsdual", *argv)
 
 
 @pytest.fixture
@@ -71,7 +77,7 @@ def test_command_loads_neither_bench_nor_selftest(files, argv):
     assert code == 0
     imported = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines() if line.startswith("import time:")}
     assert "hsdual.cli" in imported
-    assert imported & {"hsdual.bench", "hsdual.selftest"} == set()
+    assert imported & {"hsdual.bench", "hsdual.selftest", "dataclasses"} == set()
 
 
 def test_main_leaves_the_collector_unfrozen(cli, files):
@@ -82,11 +88,35 @@ def test_main_leaves_the_collector_unfrozen(cli, files):
 
 def test_console_main_freezes_then_runs_main(monkeypatch, capsys, cli, files):
     calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    for name in ("disable", "freeze", "enable"):
+        monkeypatch.setattr(gc, name, lambda name=name: calls.append(name))
+    main = hsdual.cli.main
+    monkeypatch.setattr(hsdual.cli, "main", lambda: calls.append("main") or main())
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(("_exit", code)))
     monkeypatch.setattr(sys, "argv", ["hsdual", "vec", files["m"]])
-    code = hsdual.cli.console_main()
-    assert calls == ["freeze"]
-    assert (code, *capsys.readouterr()) == cli("vec", files["m"])
+    hsdual.__main__.console_main()
+    assert calls == ["disable", "freeze", "enable", "main", ("_exit", 0)]
+    assert (0, *capsys.readouterr()) == cli("vec", files["m"])
+
+
+def test_import_loads_no_submodule_until_a_name_is_used():
+    # A fresh process, so that no name has been read before.  The process
+    # entry must load neither numpy nor hsdual.cli before it turns the
+    # collector off, and the package must load no submodule at all.
+    script = """
+import importlib, sys
+import hsdual.__main__
+print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'hsdual')))
+for name in hsdual.__all__:
+    assert name not in vars(hsdual), name
+    obj = getattr(hsdual, name)
+    assert obj.__module__.startswith('hsdual.'), name
+    assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert vars(hsdual)[name] is obj, name
+print('ok')
+"""
+    code, out, err = python_process("-c", script)
+    assert (code, out, err) == (0, "['hsdual', 'hsdual.__main__']\nok\n", "")
 
 
 def test_package_exports_resolve_with_bench_loaded_on_demand():
@@ -101,21 +131,25 @@ def test_package_exports_resolve_with_bench_loaded_on_demand():
         hsdual.no_such_name
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_output_write_error_is_one_line_exit_2(files, monkeypatch, unbuffered):
+    # Unbuffered, the write in the command fails; buffered, the final flush does.
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    for argv in (("vec", files["m"]), ("check", files["ch"])):
+        with open("/dev/full", "w") as full:
+            code, _, err = python_process("-m", "hsdual", *argv, stdout=full)
+        assert code == 2
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+
+
 def test_console_script_names_the_function_main_module_calls():
     tomllib = pytest.importorskip("tomllib")
     script = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["hsdual"]
+    assert script == "hsdual.__main__:console_main"
     tree = ast.parse((SRC / "hsdual" / "__main__.py").read_text())
-    imported = {
-        alias.asname or alias.name: f"hsdual.{node.module}:{alias.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
-    called = [
-        imported[node.func.id]
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in imported
-    ]
-    assert called == [script]
+    guard = next(node for node in tree.body if isinstance(node, ast.If))
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert ast.unparse(guard.body) == "console_main()"
     module, function = script.split(":")
     assert callable(getattr(importlib.import_module(module), function))

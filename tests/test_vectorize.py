@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hsdual.linalg import DimensionMismatchError, complex_gaussian, inner, hs_inner, kron
+from hsdual.entangle import schmidt
+from hsdual.linalg import DimensionMismatchError, Tolerance, Verdict, complex_gaussian, inner, hs_inner, kron
+from hsdual.superop import SuperOp
 from hsdual.vectorize import (
     Basis,
     BasisPair,
@@ -21,8 +23,32 @@ def rand_pair(d1, d2, seed):
 
 
 def test_basis_rejects_non_unitary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Basis: columns are not orthonormal within 1e-10$"):
         Basis(np.array([[1, 1], [0, 1]], dtype=complex))
+    with pytest.raises(DimensionMismatchError, match="^Basis: matrix must be square$"):
+        Basis(np.ones((2, 3), dtype=complex))
+
+
+def _read_only_fields():
+    basis = Basis.random(2, 0)
+    pair = BasisPair(basis, Basis.standard(2))
+    objects = [
+        (Tolerance(), ["abs", "rel"]),
+        (Verdict(True, 0.0, 1.0), ["passed", "value", "threshold"]),
+        (basis, ["u", "conjugation"]),
+        (pair, ["b1", "b2"]),
+        (SuperOp.from_kraus(np.eye(2)[None], basis), ["rmatrix", "bases"]),
+        (schmidt(np.array([1, 0, 0, 1]) / np.sqrt(2), pair), ["lambdas", "left", "right"]),
+    ]
+    return [pytest.param(obj, name, id=f"{type(obj).__name__}.{name}") for obj, names in objects for name in names]
+
+
+@pytest.mark.parametrize("obj, name", _read_only_fields())
+def test_value_object_fields_are_read_only(obj, name):
+    value = getattr(obj, name)
+    with pytest.raises(AttributeError):
+        setattr(obj, name, value)
+    assert getattr(obj, name) is value
 
 
 def test_basis_adapted_to():
@@ -304,6 +330,7 @@ def test_basis_conjugation_matrix():
     phi = complex_gaussian(4, 1, np.random.default_rng(4))[:, 0]
     assert np.abs(b.conjugation @ phi.conj() - conjugate_in_basis(b, phi)).max() < 1e-13
     assert np.array_equal(Basis.standard(3).conjugation, np.eye(3))
+    assert b.conjugation is b.conjugation  # computed once per basis
 
 
 def test_standard_basis_changes_are_exact_and_fresh():
