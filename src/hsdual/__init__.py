@@ -3,8 +3,9 @@ on a tensor-product space: vectorization isomorphisms, superoperator
 representation conversions, CP/TP verification and Schmidt analysis.
 
 Importing the package loads no submodule (and so not numpy): each exported
-name loads its module when it is first used, and is then stored here, so
-later reads are plain attribute lookups.
+name, and each of the submodules that define them, loads its module when it
+is first used, and is then stored here, so later reads are plain attribute
+lookups.
 """
 
 import importlib
@@ -83,6 +84,9 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS.values():
+        # Importing a submodule binds it here.
+        return importlib.import_module(f".{name}", __name__)
     try:
         module = _EXPORTS[name]
     except KeyError:
@@ -90,3 +94,7 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -281,7 +281,3 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except OSError as e:  # io reads files itself and reports its errors as FormatError
         return output_error(e)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

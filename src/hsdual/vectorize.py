@@ -33,28 +33,28 @@ from .linalg import (
 )
 
 
-class _BasisFields(NamedTuple):
-    u: np.ndarray
-
-
-class Basis(_BasisFields):
+class Basis:
     """Orthonormal basis of C^d: a unitary whose columns are the basis vectors.
 
     ``u`` is read-only and treated as immutable: ``is_standard`` and
     ``conjugation`` are computed once per basis.
     """
 
-    def __new__(cls, u):
+    def __init__(self, u):
         u = as_matrix(u)
         if u.shape[0] != u.shape[1]:
             raise DimensionMismatchError("Basis: matrix must be square")
         if not Tolerance(abs=1e-10, rel=0.0).close(u.conj().T @ u, np.eye(u.shape[0])):
             raise ValueError("Basis: columns are not orthonormal within 1e-10")
-        return super().__new__(cls, u)
+        vars(self)["u"] = u
 
-    def __setattr__(self, name, value):
-        # The instance dict holds only the cached properties below.
-        raise AttributeError(f"cannot assign to {name!r}: Basis is read-only")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Basis is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Basis(u={self.u!r})"
 
     @property
     def dim(self) -> int:

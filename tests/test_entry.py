@@ -119,6 +119,18 @@ print('ok')
     assert (code, out, err) == (0, "['hsdual', 'hsdual.__main__']\nok\n", "")
 
 
+def test_package_lists_its_names_and_loads_submodules_on_first_use():
+    script = """
+import sys
+import hsdual
+assert set(hsdual.__all__) <= set(dir(hsdual))
+for module in ('linalg', 'vectorize', 'superop', 'entangle', 'bench'):
+    assert getattr(hsdual, module) is sys.modules['hsdual.' + module], module
+print(hsdual.superop.random_tp_kraus.__module__)
+"""
+    assert python_process("-c", script) == (0, "hsdual.superop\n", "")
+
+
 def test_package_exports_resolve_with_bench_loaded_on_demand():
     names = {}
     exec("from hsdual import *", names)
@@ -153,3 +165,6 @@ def test_console_script_names_the_function_main_module_calls():
     assert ast.unparse(guard.body) == "console_main()"
     module, function = script.split(":")
     assert callable(getattr(importlib.import_module(module), function))
+    # The only process entry: hsdual.cli runs nothing as a script.
+    cli_tree = ast.parse((SRC / "hsdual" / "cli.py").read_text())
+    assert not any(isinstance(node, ast.If) for node in cli_tree.body)

@@ -48,6 +48,8 @@ def test_value_object_fields_are_read_only(obj, name):
     value = getattr(obj, name)
     with pytest.raises(AttributeError):
         setattr(obj, name, value)
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
     assert getattr(obj, name) is value
 
 
