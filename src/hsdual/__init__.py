@@ -18,10 +18,8 @@ _EXPORTS = {
             "Tolerance",
             "Verdict",
             "adjoint",
-            "hermitian_eig",
             "hs_inner",
             "inner",
-            "is_psd",
             "kron",
             "operator_norm",
             "psd_check",
@@ -36,12 +34,9 @@ _EXPORTS = {
             "BasisPair",
             "conjugate_in_basis",
             "devec_jstar",
-            "devec_via_slices",
             "partial_slice",
             "partial_slice_adjoint",
-            "phi_plus",
             "vec_j",
-            "vec_t",
         ],
         "vectorize",
     ),
@@ -52,22 +47,29 @@ _EXPORTS = {
             "check_cp",
             "check_tp",
             "choi_map",
-            "choi_of_vector",
             "compose",
             "kraus_apply",
             "kraus_to_choi",
-            "kraus_to_r",
             "kraus_to_r_kron",
-            "lift_r",
             "lower_s",
-            "m_alpha",
         ],
         "superop",
     ),
     **dict.fromkeys(
         [
+            "choi_of_vector",
+            "devec_via_slices",
+            "kraus_to_r",
+            "lift_r",
+            "m_alpha",
+            "phi_plus",
+            "vec_t",
+        ],
+        "paper",
+    ),
+    **dict.fromkeys(
+        [
             "SchmidtResult",
-            "is_entangled",
             "product_state_devec",
             "pure_state_transport",
             "schmidt",

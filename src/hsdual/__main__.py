@@ -15,14 +15,18 @@ def console_main() -> None:
     the operating system takes back anyway (hsdual and numpy register no
     ``atexit`` handler).  ``cli.main`` leaves the collector alone and
     returns, since tests and harnesses call it many times in one process.
-    Usage errors and ``--help`` still leave through ``SystemExit``.
+    The ``SystemExit`` of a usage error or ``--help`` is caught here, so
+    their output takes the same flush and exit as a command's.
     """
     gc.disable()
     from . import cli
 
     gc.freeze()
     gc.enable()
-    code = cli.main()
+    try:
+        code = cli.main()
+    except SystemExit as e:  # argparse exits with an integer code
+        code = e.code
     try:
         sys.stdout.flush()
     except OSError as e:

@@ -189,8 +189,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse drops an OSError from this write; let it reach main, so a
+        # help text that cannot be written exits 2 like any other output.
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hsdual",
         description="Vectorization isomorphisms, superoperator representations, "
         "channel composition and Schmidt analysis on dense complex matrices.",
@@ -265,8 +272,8 @@ def output_error(e: OSError) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "digits", 0) < 0:
             raise ValueError(f"--digits must be a non-negative integer, got {args.digits}")
         # A valid file whose products overflow a double is refused, not

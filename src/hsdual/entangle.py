@@ -13,9 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_vector, kron, svd
-from .superop import HSMap, lower_s
-from .vectorize import BasisPair, devec_jstar
+from .linalg import DimensionMismatchError, as_vector, svd
+from .superop import HSMap
+from .vectorize import BasisPair, devec_jstar, vec_j
 
 
 class SchmidtResult(NamedTuple):
@@ -85,10 +85,6 @@ def schmidt_rank(alpha, d1: int, d2: int) -> int:
     return rank_from_lambdas(s)
 
 
-def is_entangled(alpha, d1: int, d2: int) -> bool:
-    return schmidt_rank(alpha, d1, d2) >= 2
-
-
 def _check_unit(v, name: str) -> np.ndarray:
     v = as_vector(v)
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
@@ -101,13 +97,18 @@ def product_state_devec(phi, psi, bases: BasisPair) -> np.ndarray:
     operator |psi><K phi|."""
     phi = _check_unit(phi, "product_state_devec")
     psi = _check_unit(psi, "product_state_devec")
-    return devec_jstar(np.kron(phi, psi), bases)
+    return devec_jstar(np.outer(phi, psi).reshape(-1), bases)
 
 
 def pure_state_transport(phi, psi, bases: BasisPair) -> HSMap:
     """The image under the S isomorphism of the product projection
-    P_phi (x) P_psi: a rank-one projection on operator space."""
+    P_phi (x) P_psi: a rank-one projection on operator space.
+
+    With v = phi (x) psi the projection is |v><v|, so the map is
+    A -> <v, vec_j(A)> devec_jstar(v); no (d1*d2)^2 array is built.
+    """
     phi = _check_unit(phi, "pure_state_transport")
     psi = _check_unit(psi, "pure_state_transport")
-    p = kron(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
-    return lower_s(p, bases)
+    v = np.outer(phi, psi).reshape(-1)
+    image = devec_jstar(v, bases)
+    return HSMap(bases.d1, bases.d2, lambda a: np.vdot(v, vec_j(a, bases)) * image)

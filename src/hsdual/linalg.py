@@ -100,22 +100,6 @@ def is_hermitian(h, tol: Tolerance = DEFAULT_TOL) -> bool:
     return tol.close(h, h.conj().T)
 
 
-def hermitian_eig(h, tol: Tolerance = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (values, vectors) with real eigenvalues sorted descending and the
-    matching unitary of eigenvectors as columns.  Raises on non-Hermitian
-    input beyond ``tol``.
-    """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise DimensionMismatchError("hermitian_eig: matrix must be square")
-    if not is_hermitian(h, tol):
-        raise ValueError("hermitian_eig: input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def svd(a):
     """Thin SVD.  Returns (u, s, v) with a == u @ diag(s) @ v.conj().T,
     u and v having orthonormal columns and s nonnegative descending."""
@@ -159,17 +143,11 @@ def psd_check(h, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
-        raise DimensionMismatchError("is_psd: matrix must be square")
+        raise DimensionMismatchError("psd_check: matrix must be square")
     w = np.linalg.eigvalsh((h + h.conj().T) / 2)  # ascending
     mineig = float(w[0])
     threshold = -tol.abs * (1 + max(-mineig, float(w[-1])))
     return Verdict(is_hermitian(h, tol) and mineig >= threshold, mineig, threshold)
-
-
-def is_psd(h, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness: Hermitian within tol and min eigenvalue
-    >= -tol.abs * (1 + operator norm of the Hermitian part)."""
-    return psd_check(h, tol).passed
 
 
 def min_eigenvalue(h) -> float:

@@ -23,29 +23,18 @@ from .linalg import (
     psd_check,
     random_unitary_from,
 )
-from .superop import (
-    HSMap,
-    check_cp,
-    choi_map,
-    kraus_apply,
-    kraus_to_r,
-    kraus_to_r_kron,
-    lift_r,
-    lower_s,
-    random_tp_kraus,
-)
+from .superop import HSMap, check_cp, choi_map, kraus_apply, kraus_to_r_kron, lower_s, random_tp_kraus
 from .vectorize import (
     Basis,
     BasisPair,
     conjugate_in_basis,
     devec_jstar,
-    devec_via_slices,
     partial_slice,
     partial_slice_adjoint,
     vec_j,
-    vec_t,
 )
 from .entangle import schmidt, schmidt_rank
+from .paper import devec_via_slices, kraus_to_r, lift_r, vec_t
 
 
 def _random_pair(d1: int, d2: int, rng) -> BasisPair:

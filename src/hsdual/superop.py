@@ -42,11 +42,9 @@ to form V, O(k^2 d^2) for V^* V and O(k^3) for its eigenvalues, with no
 d^4 array.  For k >= d^2 C is built and eigensolved.  The d^4 entry cap
 still applies, so a channel the Choi matrix could not hold is refused.
 
-The paper's constructions are kept as independent oracles for the tests:
-``kraus_to_r`` (columnwise through ``m_alpha`` and ``vec_t``), the probe
-``lift_r`` and the probe ``choi_map`` of a map without a Kraus stack, e.g.
-``HSMap(d, d, lambda a: kraus_apply(ms, a))``.  Every dense d^2 x d^2 result
-is refused above ``MAX_KRON_ENTRIES`` entries (``guard_entries``).
+hsdual.paper holds the paper's literal constructions, the oracles for these.
+Every dense d^2 x d^2 result is refused above ``MAX_KRON_ENTRIES`` entries
+(``guard_entries``).
 """
 
 from __future__ import annotations
@@ -60,15 +58,13 @@ from .linalg import (
     DimensionMismatchError,
     Tolerance,
     Verdict,
-    adjoint,
     as_matrix,
-    as_vector,
     complex_gaussian,
     guard_entries,
     kron,
     psd_check,
 )
-from .vectorize import Basis, BasisPair, devec_jstar, phi_plus, vec_j, vec_t
+from .vectorize import Basis, BasisPair, devec_jstar, vec_j
 
 
 def _kraus(ms, basis: Basis | None = None, what: str = "Kraus channel") -> np.ndarray:
@@ -131,13 +127,6 @@ class HSMap:
         return cls(m.shape[1], m.shape[1], lambda a: kraus_apply(m, a), kraus=m)
 
     @classmethod
-    def sandwich(cls, m, n) -> "HSMap":
-        """The map A -> m @ A @ n."""
-        m = as_matrix(m)
-        n = as_matrix(n)
-        return cls(n.shape[0], m.shape[1], lambda a: m @ a @ n)
-
-    @classmethod
     def from_matrix(cls, mat, d1: int, d2: int) -> "HSMap":
         """Dense map in the matrix-unit basis: mat acts on column-stacked operators."""
         return lower_s(mat, BasisPair.standard(d1, d2))
@@ -158,11 +147,6 @@ class SuperOp(NamedTuple):
         return self.bases.d2
 
     @staticmethod
-    def identity(bases: BasisPair) -> "SuperOp":
-        n = bases.d1 * bases.d2
-        return SuperOp(np.eye(n, dtype=complex), bases)
-
-    @staticmethod
     def from_kraus(ms, basis: Basis) -> "SuperOp":
         return SuperOp(kraus_to_r_kron(ms, basis), BasisPair(basis, basis))
 
@@ -170,69 +154,14 @@ class SuperOp(NamedTuple):
         return lower_s(self.rmatrix, self.bases)
 
 
-def lift_r(b: HSMap, bases: BasisPair) -> np.ndarray:
-    """Lift a map on operators to the tensor-product space: vec . b . devec.
-
-    Built by probing b on the matrix units |psi_i><phi_j| of the given bases,
-    then rotating back to standard coordinates.
-    """
-    d1, d2 = bases.d1, bases.d2
-    if (b.d1, b.d2) != (d1, d2):
-        raise DimensionMismatchError("lift_r: map and bases dimensions differ")
-    n = d1 * d2
-    probes = np.zeros((n, n), dtype=complex)
-    for j in range(d1):
-        for i in range(d2):
-            unit = np.outer(bases.b2.column(i), np.conj(bases.b1.column(j)))
-            probes[:, j * d2 + i] = vec_j(b(unit), bases)
-    if bases.b1.is_standard and bases.b2.is_standard:
-        return probes
-    return probes @ adjoint(kron(bases.b1.u, bases.b2.u))
-
-
 def lower_s(c, bases: BasisPair) -> HSMap:
-    """Inverse of lift_r: bring an operator on the tensor product down to a
-    map on operators, devec . c . vec."""
+    """Inverse of hsdual.paper.lift_r: bring an operator on the tensor product
+    down to a map on operators, devec . c . vec."""
     c = as_matrix(c)
     n = bases.d1 * bases.d2
     if c.shape != (n, n):
         raise DimensionMismatchError(f"lower_s: shape {c.shape} != ({n}, {n})")
     return HSMap(bases.d1, bases.d2, lambda a: devec_jstar(c @ vec_j(a, bases), bases))
-
-
-def m_alpha(ms, alpha, basis: Basis) -> np.ndarray:
-    """The collapsed operator sum_{r,s} <phi_r (x) phi_s, alpha>
-    sum_i |M_i* phi_s><M_i* phi_r| attached to a tensor-product vector."""
-    ms = _kraus(ms, basis, "m_alpha")
-    d = basis.dim
-    alpha = as_vector(alpha)
-    if alpha.shape[0] != d * d:
-        raise DimensionMismatchError("m_alpha: vector length != d*d")
-    w = kron(basis.u, basis.u)
-    coeff = (adjoint(w) @ alpha).reshape(d, d)  # coeff[r, s] = <phi_r (x) phi_s, alpha>
-    out = np.zeros((d, d), dtype=complex)
-    for m in ms:
-        cols = m.conj().T @ basis.u  # column s is M* phi_s
-        out += cols @ coeff.T @ adjoint(cols)
-    return out
-
-
-def kraus_to_r(ms, basis: Basis) -> np.ndarray:
-    """R-matrix of a Kraus channel, built columnwise as
-    alpha -> sum_s phi_s (x) (M_alpha phi_s).
-
-    The paper's construction, O(d^2) Python iterations; kept as an oracle.
-    Independent of lift_r(HSMap.from_kraus(ms), ...) and of kraus_to_r_kron;
-    the three are cross-checked in the test suite.
-    """
-    ms = _kraus(ms, basis, "kraus_to_r")
-    d = basis.dim
-    n = d * d
-    out = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for k in range(n):
-        out[:, k] = vec_t(m_alpha(ms, eye[:, k], basis), basis)
-    return out
 
 
 def kraus_to_r_kron(ms, basis: Basis | None = None) -> np.ndarray:
@@ -299,16 +228,6 @@ def choi_map(b: HSMap, basis: Basis, normalize: bool = False) -> np.ndarray:
     if normalize:
         out /= d
     return out
-
-
-def choi_of_vector(a, basis: Basis) -> np.ndarray:
-    """(I (x) A) applied to the unnormalized maximally entangled vector;
-    coincides with vec_t(A)."""
-    a = as_matrix(a)
-    d = basis.dim
-    if a.shape != (d, d):
-        raise DimensionMismatchError("choi_of_vector: requires a d x d operator")
-    return kron(np.eye(d, dtype=complex), a) @ phi_plus(basis)
 
 
 def compose(b1: SuperOp, b2: SuperOp) -> SuperOp:

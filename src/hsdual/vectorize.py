@@ -12,8 +12,7 @@ closed form (J1 A^T) flattened, J1 = U1 U1^T, which does not depend on the H2
 basis.  Only devec_jstar and partial_slice build kron(U1, U2), one (d1*d2)^2
 complex array bounded by MAX_KRON_ENTRIES (d1*d2 <= 1024, 16 MiB at the cap),
 and apply its adjoint in place: only vectors are conjugated, never the matrix.
-vec_t (sum_j phi_j (x) A phi_j) and devec_via_slices (sum_j |P_j alpha><phi_j|)
-are independent constructions that the tests compare against.
+hsdual.paper holds the paper's literal constructions, the oracles for these.
 """
 
 from __future__ import annotations
@@ -180,24 +179,6 @@ def devec_jstar(alpha, bases: BasisPair) -> np.ndarray:
     return bases.b2.u @ coeff @ bases.b1.u.conj().T
 
 
-def vec_t(a, b1: Basis) -> np.ndarray:
-    """Alternative vectorization sum_j phi_j (x) (A phi_j); agrees with vec_j
-    for any choice of the second-factor basis."""
-    a = as_matrix(a)
-    if a.shape[1] != b1.dim:
-        raise DimensionMismatchError("vec_t: operator/basis dimension mismatch")
-    d2 = a.shape[0]
-    out = np.zeros(b1.dim * d2, dtype=complex)
-    for j in range(b1.dim):
-        out += np.kron(b1.column(j), a @ b1.column(j))
-    return out
-
-
-def phi_plus(basis: Basis) -> np.ndarray:
-    """The unnormalized maximally entangled vector sum_j phi_j (x) phi_j."""
-    return vec_t(np.eye(basis.dim, dtype=complex), basis)
-
-
 def partial_slice(i: int, alpha, bases: BasisPair) -> np.ndarray:
     """H2-component of alpha in direction phi_i: sum_j <phi_i (x) psi_j, alpha> psi_j."""
     alpha = _check_bipartite(alpha, bases)
@@ -217,17 +198,5 @@ def partial_slice_adjoint(i: int, beta, bases: BasisPair) -> np.ndarray:
         raise DimensionMismatchError("partial_slice_adjoint: vector dimension mismatch")
     if not 0 <= i < bases.d1:
         raise IndexError(f"partial_slice_adjoint: index {i} out of range for d1={bases.d1}")
-    return np.kron(bases.b1.column(i), beta)
+    return np.outer(bases.b1.column(i), beta).reshape(-1)
 
-
-def devec_via_slices(alpha, bases: BasisPair) -> np.ndarray:
-    """Devectorize through the slice operators: sum_j |P_j alpha><phi_j|.
-
-    Independent construction; agrees with devec_jstar and serves as its
-    cross-oracle in the tests.
-    """
-    alpha = _check_bipartite(alpha, bases)
-    out = np.zeros((bases.d2, bases.d1), dtype=complex)
-    for j in range(bases.d1):
-        out += np.outer(partial_slice(j, alpha, bases), np.conj(bases.b1.column(j)))
-    return out

@@ -17,11 +17,12 @@ from hsdual.linalg import (
     complex_gaussian,
     hs_inner,
     inner,
-    is_psd,
     kron,
     min_eigenvalue,
     operator_norm,
+    psd_check,
 )
+from hsdual.paper import devec_via_slices, kraus_to_r, lift_r, phi_plus, vec_t
 from hsdual.selftest import random_tp_kraus
 from hsdual.superop import (
     HSMap,
@@ -29,9 +30,7 @@ from hsdual.superop import (
     choi_map,
     compose,
     kraus_apply,
-    kraus_to_r,
     kraus_to_r_kron,
-    lift_r,
     lower_s,
 )
 from hsdual.vectorize import (
@@ -39,12 +38,9 @@ from hsdual.vectorize import (
     BasisPair,
     conjugate_in_basis,
     devec_jstar,
-    devec_via_slices,
     partial_slice,
     partial_slice_adjoint,
-    phi_plus,
     vec_j,
-    vec_t,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -172,7 +168,7 @@ def test_criterion_08_complete_positivity():
                 r_ij = lift_r(HSMap.from_matrix(adjoint(amats[i]) @ amats[j], d, d), bases)
                 block += adjoint(bops[i]) @ r_ij @ bops[j]
         assert min_eigenvalue(block) >= -1e-10 * (1 + operator_norm(block))
-        assert is_psd(block, Tolerance(abs=1e-10))
+        assert psd_check(block, Tolerance(abs=1e-10)).passed
     report(8, "complete positivity block form")
 
 
@@ -249,7 +245,7 @@ def test_criterion_12_composition_oracle():
     d = 4
     basis = Basis.standard(d)
     chains = [random_tp_kraus(d, 3, rng) for _ in range(10)]
-    total = SuperOp.identity(BasisPair(basis, basis))
+    total = SuperOp(np.eye(d * d, dtype=complex), BasisPair(basis, basis))
     for ms in chains:
         total = compose(SuperOp.from_kraus(ms, basis), total)
     act = total.as_hsmap()

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from hsdual.entangle import (
-    is_entangled,
     product_state_devec,
     pure_state_transport,
     schmidt,
     schmidt_rank,
 )
-from hsdual.linalg import complex_gaussian, hs_inner, kron, random_unitary
-from hsdual.superop import lift_r
+from hsdual.linalg import DimensionMismatchError, complex_gaussian, hs_inner, kron, random_unitary
+from hsdual.paper import lift_r
+from hsdual.superop import lower_s
 from hsdual.vectorize import Basis, BasisPair, conjugate_in_basis
 
 
@@ -29,7 +29,7 @@ def test_product_vector_rank_one():
     res = schmidt(alpha, BasisPair.standard(3, 2))
     assert abs(res.lambdas[0] - 1.0) < 1e-12
     assert schmidt_rank(alpha, 3, 2) == 1
-    assert not is_entangled(alpha, 3, 2)
+    assert not schmidt_rank(alpha, 3, 2) >= 2
 
 
 def test_bell_vector():
@@ -37,12 +37,12 @@ def test_bell_vector():
     res = schmidt(bell, BasisPair.standard(2, 2))
     assert np.abs(res.lambdas - 0.7071067811865476).max() < 1e-12
     assert schmidt_rank(bell, 2, 2) == 2
-    assert is_entangled(bell, 2, 2)
+    assert schmidt_rank(bell, 2, 2) >= 2
 
 
 def test_zero_vector():
     assert schmidt_rank(np.zeros(4), 2, 2) == 0
-    assert not is_entangled(np.zeros(4), 2, 2)
+    assert not schmidt_rank(np.zeros(4), 2, 2) >= 2
 
 
 def test_schmidt_refuses_a_coefficient_past_the_double_range():
@@ -160,3 +160,34 @@ def test_pure_state_transport_fixed_point_and_trace():
     assert np.abs(p(c) - expected).max() < 1e-10
     mat = lift_r(p, bases)
     assert abs(np.trace(mat) - 1.0) < 1e-10
+
+
+def test_pure_state_transport_matches_lowering_the_product_projection():
+    # Oracle: lower_s of the (d1*d2)^2 projection P_phi (x) P_psi.
+    rng = np.random.default_rng(13)
+    for bases in (BasisPair.standard(3, 2), rand_pair(3, 2, 14), rand_pair(4, 5, 15)):
+        phi = unit(complex_gaussian(bases.d1, 1, rng)[:, 0])
+        psi = unit(complex_gaussian(bases.d2, 1, rng)[:, 0])
+        oracle = lower_s(kron(np.outer(phi, phi.conj()), np.outer(psi, psi.conj())), bases)
+        p = pure_state_transport(phi, psi, bases)
+        assert (p.d1, p.d2) == (bases.d1, bases.d2)
+        for _ in range(3):
+            a = complex_gaussian(bases.d2, bases.d1, rng)
+            assert np.abs(p(a) - oracle(a)).max() < 1e-12
+
+
+def test_pure_state_transport_above_the_kron_cap():
+    # (40*40)^2 entries exceed MAX_KRON_ENTRIES, so the projection itself
+    # cannot be built; the map never builds it.
+    rng = np.random.default_rng(16)
+    d = 40
+    bases = BasisPair.standard(d, d)
+    phi = unit(complex_gaussian(d, 1, rng)[:, 0])
+    psi = unit(complex_gaussian(d, 1, rng)[:, 0])
+    with pytest.raises(DimensionMismatchError, match="kron result would have"):
+        kron(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
+    p = pure_state_transport(phi, psi, bases)
+    fixed = np.outer(psi, phi)  # devec of phi (x) psi in the standard bases
+    assert np.abs(p(fixed) - fixed).max() < 1e-12
+    c = complex_gaussian(d, d, rng)
+    assert np.abs(p(c) - hs_inner(fixed, c) * fixed).max() < 1e-12

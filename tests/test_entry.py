@@ -59,6 +59,9 @@ PROCESS_CASES = {
     "schmidt": (0, ("schmidt", "{v}", "--d1", "2", "--d2", "3")),
     "malformed": (2, ("vec", "{bad}")),
     "d33": (3, ("check", "{d33}", "--cp")),
+    "help": (0, ("--help",)),
+    "vec-help": (0, ("vec", "--help")),
+    "usage": (2, ("vec",)),
 }
 
 
@@ -77,7 +80,7 @@ def test_command_loads_neither_bench_nor_selftest(files, argv):
     assert code == 0
     imported = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines() if line.startswith("import time:")}
     assert "hsdual.cli" in imported
-    assert imported & {"hsdual.bench", "hsdual.selftest", "dataclasses"} == set()
+    assert imported & {"hsdual.bench", "hsdual.selftest", "hsdual.paper", "dataclasses"} == set()
 
 
 def test_main_leaves_the_collector_unfrozen(cli, files):
@@ -124,7 +127,7 @@ def test_package_lists_its_names_and_loads_submodules_on_first_use():
 import sys
 import hsdual
 assert set(hsdual.__all__) <= set(dir(hsdual))
-for module in ('linalg', 'vectorize', 'superop', 'entangle', 'bench'):
+for module in ('linalg', 'vectorize', 'superop', 'entangle', 'paper', 'bench'):
     assert getattr(hsdual, module) is sys.modules['hsdual.' + module], module
 print(hsdual.superop.random_tp_kraus.__module__)
 """
@@ -153,6 +156,23 @@ def test_output_write_error_is_one_line_exit_2(files, monkeypatch, unbuffered):
             code, _, err = python_process("-m", "hsdual", *argv, stdout=full)
         assert code == 2
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_help_write_error_is_one_line_exit_2(monkeypatch, unbuffered):
+    # Unbuffered, argparse would drop the write error and exit 0; buffered,
+    # the error would surface in interpreter teardown with exit 120.
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    for argv in (("--help",), ("vec", "--help")):
+        with open("/dev/full", "w") as full:
+            code, _, err = python_process("-m", "hsdual", *argv, stdout=full)
+        assert code == 2
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+
+
+def test_help_text_is_the_parsers(cli):
+    assert cli("--help") == (0, hsdual.cli.build_parser().format_help(), "")
 
 
 def test_console_script_names_the_function_main_module_calls():

@@ -7,11 +7,9 @@ from hsdual.linalg import (
     Tolerance,
     adjoint,
     complex_gaussian,
-    hermitian_eig,
     hs_inner,
     inner,
     guard_entries,
-    is_psd,
     kron,
     min_eigenvalue,
     operator_norm,
@@ -132,22 +130,6 @@ def test_trace_cyclicity():
     assert abs(np.trace(a @ b) - np.trace(b @ a)) < 1e-12
 
 
-def test_hermitian_eig_basics():
-    vals, _ = hermitian_eig(np.eye(4))
-    assert np.allclose(vals, 1)
-    vals, _ = hermitian_eig(np.diag([3.0, 1.0]))
-    assert np.array_equal(vals, [3.0, 1.0])
-    vals, vecs = hermitian_eig(X)
-    assert np.allclose(vals, [1.0, -1.0])
-    assert np.abs(X @ vecs - vecs @ np.diag(vals)).max() < 1e-10
-    assert np.abs(adjoint(vecs) @ vecs - np.eye(2)).max() < 1e-10
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 def test_svd_basics_and_reconstruction():
     _, s, _ = svd(np.eye(3))
     assert np.allclose(s, 1)
@@ -164,7 +146,7 @@ def test_svd_agrees_with_hermitian_eig_on_psd():
     rng = np.random.default_rng(37)
     m = complex_gaussian(4, 4, rng)
     h = m @ adjoint(m)
-    vals, _ = hermitian_eig(h)
+    vals = np.linalg.eigvalsh(h)[::-1]  # descending, as svd orders s
     _, s, _ = svd(h)
     assert np.abs(vals - s).max() < 1e-10
 
@@ -191,18 +173,18 @@ def test_operator_norm():
 
 
 def test_is_psd():
-    assert is_psd(np.eye(3))
-    assert not is_psd(np.diag([1.0, -1.0]))
+    assert psd_check(np.eye(3)).passed
+    assert not psd_check(np.diag([1.0, -1.0])).passed
     rng = np.random.default_rng(43)
     m = complex_gaussian(4, 4, rng)
-    assert is_psd(adjoint(m) @ m)
-    assert not is_psd(np.array([[0, 1], [0, 0]], dtype=complex))  # non-Hermitian
+    assert psd_check(adjoint(m) @ m).passed
+    assert not psd_check(np.array([[0, 1], [0, 0]], dtype=complex)).passed  # non-Hermitian
 
 
 def test_is_psd_tolerance_contract():
     h = np.diag([1.0, -5e-11])
-    assert is_psd(h, Tolerance(abs=1e-10))
-    assert not is_psd(h, Tolerance(abs=1e-12))
+    assert psd_check(h, Tolerance(abs=1e-10)).passed
+    assert not psd_check(h, Tolerance(abs=1e-12)).passed
 
 
 def test_random_unitary():
@@ -227,7 +209,7 @@ def test_psd_check_verdict_fields():
     m = complex_gaussian(5, 3, rng)
     h = m @ adjoint(m)  # PSD of rank 3
     v = psd_check(h)
-    assert v.passed and v.passed == is_psd(h)
+    assert v.passed
     assert v.value == min_eigenvalue(h)
     # The threshold scales with the norm of the Hermitian part, max |eigenvalue|.
     assert abs(v.threshold + 1e-10 * (1 + operator_norm(h))) < 1e-20 * (1 + operator_norm(h))

@@ -3,18 +3,16 @@ import pytest
 
 from hsdual.entangle import schmidt
 from hsdual.linalg import DimensionMismatchError, Tolerance, Verdict, complex_gaussian, inner, hs_inner, kron
+from hsdual.paper import devec_via_slices, phi_plus, vec_t
 from hsdual.superop import SuperOp
 from hsdual.vectorize import (
     Basis,
     BasisPair,
     conjugate_in_basis,
     devec_jstar,
-    devec_via_slices,
     partial_slice,
     partial_slice_adjoint,
-    phi_plus,
     vec_j,
-    vec_t,
 )
 
 
