@@ -49,7 +49,6 @@ _EXPORTS = {
             "choi_map",
             "compose",
             "kraus_apply",
-            "kraus_to_choi",
             "kraus_to_r_kron",
             "lower_s",
         ],
@@ -57,6 +56,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         [
+            "choi_of_map",
             "choi_of_vector",
             "devec_via_slices",
             "kraus_to_r",

@@ -13,19 +13,24 @@ probing matrix units, where production runs a closed form or a reshape:
   and Cory, arXiv:1111.6950, sec. 3);
 * ``lift_r``: the R isomorphism vec . B . devec, probed on the matrix units
   |psi_i><phi_j| (its inverse is ``superop.lower_s``);
+* ``choi_of_map``: Choi's matrix sum_{i,j} |phi_i><phi_j| (x) B(|phi_i><phi_j|),
+  probed on the matrix units (production: ``superop.choi_map``, C = V V^* of
+  a Kraus stack);
 * ``choi_of_vector``: (I (x) A) applied to phi_plus, which equals vec_t(A).
 
 This module is the oracle the tests and ``selftest`` compare the closed forms
 against.  No module of the package but ``selftest`` imports it (a test parses
-their imports), so no other CLI command loads it.  ``lift_r`` is also the
-library's only way to lift a map given only as a callable, ``HSMap(d1, d2, fn)``.
+their imports), so no other CLI command loads it.  ``lift_r`` and
+``choi_of_map`` are also the library's only way to lift a map given only as a
+callable, ``HSMap(d1, d2, fn)``, or to take its Choi matrix.  Both refuse a
+result above ``MAX_KRON_ENTRIES`` entries before allocating it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, adjoint, as_matrix, as_vector, kron
+from .linalg import DimensionMismatchError, adjoint, as_matrix, as_vector, guard_entries, kron
 from .superop import HSMap, _kraus
 from .vectorize import Basis, BasisPair, _check_bipartite, partial_slice, vec_j
 
@@ -71,6 +76,7 @@ def lift_r(b: HSMap, bases: BasisPair) -> np.ndarray:
     if (b.d1, b.d2) != (d1, d2):
         raise DimensionMismatchError("lift_r: map and bases dimensions differ")
     n = d1 * d2
+    guard_entries(n * n, "R-matrix")
     probes = np.zeros((n, n), dtype=complex)
     for j in range(d1):
         for i in range(d2):
@@ -79,6 +85,29 @@ def lift_r(b: HSMap, bases: BasisPair) -> np.ndarray:
     if bases.b1.is_standard and bases.b2.is_standard:
         return probes
     return probes @ adjoint(kron(bases.b1.u, bases.b2.u))
+
+
+def choi_of_map(b: HSMap, basis: Basis, normalize: bool = False) -> np.ndarray:
+    """Choi matrix sum_{i,j} |phi_i><phi_j| (x) b(|phi_i><phi_j|).
+
+    Defined for the square case only; the reference vector
+    sum_j phi_j (x) phi_j is kept unnormalized unless ``normalize`` is set,
+    which divides the result by the dimension.  Probes b on the d^2 matrix
+    units, so it takes any map, not only a Kraus stack.
+    """
+    d = basis.dim
+    if (b.d1, b.d2) != (d, d):
+        raise DimensionMismatchError("choi_of_map: requires a square map matching the basis")
+    n = d * d
+    guard_entries(n * n, "Choi matrix")
+    out = np.zeros((n, n), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.outer(basis.column(i), np.conj(basis.column(j)))
+            out += kron(unit, b(unit))
+    if normalize:
+        out /= d
+    return out
 
 
 def m_alpha(ms, alpha, basis: Basis) -> np.ndarray:

@@ -23,7 +23,7 @@ from .linalg import (
     psd_check,
     random_unitary_from,
 )
-from .superop import HSMap, check_cp, choi_map, kraus_apply, kraus_to_r_kron, lower_s, random_tp_kraus
+from .superop import HSMap, check_cp, choi_map, kraus_to_r_kron, lower_s, random_tp_kraus
 from .vectorize import (
     Basis,
     BasisPair,
@@ -34,7 +34,7 @@ from .vectorize import (
     vec_j,
 )
 from .entangle import schmidt, schmidt_rank
-from .paper import devec_via_slices, kraus_to_r, lift_r, vec_t
+from .paper import choi_of_map, devec_via_slices, kraus_to_r, lift_r, vec_t
 
 
 def _random_pair(d1: int, d2: int, rng) -> BasisPair:
@@ -223,14 +223,14 @@ def suite_choi(seed: int) -> dict[str, Verdict]:
     corner = np.zeros((4, 4), dtype=complex)
     for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
         corner[i, j] = 1
-    c_id = choi_map(HSMap.identity(2, 2), basis)
+    c_id = choi_of_map(HSMap.identity(2, 2), basis)
     out["choi-of-identity-corner-ones"] = Verdict.at_most(float(np.abs(c_id - corner).max()), 0.0)
 
     dev_iso = 0.0
     for _ in range(20):
         m1 = complex_gaussian(4, 4, rng)
         m2 = complex_gaussian(4, 4, rng)
-        lhs = hs_inner(choi_map(HSMap.from_matrix(m1, 2, 2), basis), choi_map(HSMap.from_matrix(m2, 2, 2), basis))
+        lhs = hs_inner(choi_of_map(HSMap.from_matrix(m1, 2, 2), basis), choi_of_map(HSMap.from_matrix(m2, 2, 2), basis))
         rhs = hs_inner(m1, m2)
         dev_iso = max(dev_iso, abs(lhs - rhs) / (1 + abs(rhs)))
     out["choi-hs-isometry"] = Verdict.at_most(dev_iso, 1e-10)
@@ -240,7 +240,7 @@ def suite_choi(seed: int) -> dict[str, Verdict]:
     out["choi-non-multiplicative-exhibit"] = Verdict.at_most(0.0 if sep >= 0.1 else 1.0, 0.5)
 
     transpose_map = HSMap(2, 2, lambda a: a.T.copy())
-    dev_t = abs(min_eigenvalue(choi_map(transpose_map, basis)) + 1.0)
+    dev_t = abs(min_eigenvalue(choi_of_map(transpose_map, basis)) + 1.0)
     out["choi-of-transpose-min-eigenvalue"] = Verdict.at_most(dev_t, 1e-10)
 
     # check_cp certifies a Kraus channel from its Gram matrix; psd_check of the
@@ -249,8 +249,8 @@ def suite_choi(seed: int) -> dict[str, Verdict]:
     for _ in range(20):
         d = int(rng.integers(2, 4))
         ms = random_tp_kraus(d, int(rng.integers(1, 4)), rng)
-        v = check_cp(HSMap.from_kraus(ms), Basis.standard(d))
-        oracle = psd_check(choi_map(HSMap(d, d, lambda a, ms=ms: kraus_apply(ms, a)), Basis.standard(d)))
+        v = check_cp(ms, Basis.standard(d))
+        oracle = psd_check(choi_of_map(HSMap.from_kraus(ms), Basis.standard(d)))
         dev_psd = max(
             dev_psd,
             -oracle.value,
@@ -263,10 +263,9 @@ def suite_choi(seed: int) -> dict[str, Verdict]:
     for _ in range(10):
         d = int(rng.integers(1, 6))
         ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
-        probe_map = HSMap(d, d, lambda a, ms=ms: kraus_apply(ms, a))  # no Kraus stack: probed
         for b in (Basis.standard(d), Basis(random_unitary_from(d, rng))):
-            closed = choi_map(HSMap.from_kraus(ms), b)
-            dev_closed = max(dev_closed, np.abs(closed - choi_map(probe_map, b)).max())
+            probe = choi_of_map(HSMap.from_kraus(ms), b)
+            dev_closed = max(dev_closed, np.abs(choi_map(ms, b) - probe).max())
     out["choi-closed-form-vs-probe"] = Verdict.at_most(dev_closed, 1e-10)
     return out
 

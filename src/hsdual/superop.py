@@ -2,8 +2,8 @@
 
 Three interchangeable representations are supported:
 
-* an ``HSMap``: the abstract linear action A -> B(A), backed by either a Kraus
-  stack or a dense matrix in the matrix-unit basis (flat index j*d2 + i);
+* an ``HSMap``: the abstract linear action A -> B(A), a callable on d2 x d1
+  operators;
 * the R-matrix: the dense matrix of vec . B . devec on the tensor-product
   space, in standard coordinates — the canonical internal form, where
   composition of maps is a plain matrix product;
@@ -29,9 +29,8 @@ standard basis), both cost O(k d^4) for k blocks of size d:
 
 * Kraus -> R (``kraus_to_r_kron``, behind ``SuperOp.from_kraus``):
   R = sum_k (J M_k^T conj(J)) (x) M_k^*, one batched product;
-* Kraus -> Choi (``kraus_to_choi``, taken by ``choi_map`` for maps built
-  with ``HSMap.from_kraus``): C = V V^*, where column k of the d^2 x k matrix
-  V is the row-major flattening of J conj(M_k).
+* Kraus -> Choi (``choi_map``): C = V V^*, where column k of the d^2 x k
+  matrix V is the row-major flattening of J conj(M_k).
 
 Complete positivity of a Kraus channel (``check_cp``) is certified without
 the Choi matrix.  C = V V^* is positive by construction, and its nonzero
@@ -42,7 +41,8 @@ to form V, O(k^2 d^2) for V^* V and O(k^3) for its eigenvalues, with no
 d^4 array.  For k >= d^2 C is built and eigensolved.  The d^4 entry cap
 still applies, so a channel the Choi matrix could not hold is refused.
 
-hsdual.paper holds the paper's literal constructions, the oracles for these.
+hsdual.paper holds the paper's literal constructions, the oracles for these;
+its ``choi_of_map`` gives the Choi matrix of a map that is not a Kraus stack.
 Every dense d^2 x d^2 result is refused above ``MAX_KRON_ENTRIES`` entries
 (``guard_entries``).
 """
@@ -56,12 +56,10 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
-    Tolerance,
     Verdict,
     as_matrix,
     complex_gaussian,
     guard_entries,
-    kron,
     psd_check,
 )
 from .vectorize import Basis, BasisPair, devec_jstar, vec_j
@@ -75,7 +73,7 @@ def _kraus(ms, basis: Basis | None = None, what: str = "Kraus channel") -> np.nd
     """
     try:
         m = np.asarray(ms, dtype=complex)
-    except ValueError:  # ragged blocks
+    except (TypeError, ValueError):  # ragged blocks, or not numbers at all
         m = None
     if m is None or m.ndim != 3 or m.shape[0] == 0 or m.shape[1] != m.shape[2]:
         raise DimensionMismatchError(f"{what}: Kraus operators must be a nonempty set of equal square blocks")
@@ -97,17 +95,10 @@ def kraus_apply(ms, a) -> np.ndarray:
 class HSMap:
     """A linear map on d2 x d1 operators, with a concrete apply action."""
 
-    def __init__(
-        self,
-        d1: int,
-        d2: int,
-        apply_fn: Callable[[np.ndarray], np.ndarray],
-        kraus: np.ndarray | None = None,
-    ):
+    def __init__(self, d1: int, d2: int, apply_fn: Callable[[np.ndarray], np.ndarray]):
         self.d1 = d1
         self.d2 = d2
         self._apply = apply_fn
-        self.kraus = kraus  # the k x d x d stack when the map is a Kraus channel
 
     def __call__(self, a) -> np.ndarray:
         a = as_matrix(a)
@@ -124,7 +115,7 @@ class HSMap:
     @classmethod
     def from_kraus(cls, ms) -> "HSMap":
         m = _kraus(ms)
-        return cls(m.shape[1], m.shape[1], lambda a: kraus_apply(m, a), kraus=m)
+        return cls(m.shape[1], m.shape[1], lambda a: kraus_apply(m, a))
 
     @classmethod
     def from_matrix(cls, mat, d1: int, d2: int) -> "HSMap":
@@ -185,12 +176,14 @@ def kraus_to_r_kron(ms, basis: Basis | None = None) -> np.ndarray:
     return r.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def kraus_to_choi(ms, basis: Basis, normalize: bool = False) -> np.ndarray:
-    """Closed form of the Choi matrix of a Kraus channel: C = V V^*, where
-    column k of V is the row-major flattening of J conj(M_k), J = U U^T.
+def choi_map(ms, basis: Basis, normalize: bool = False) -> np.ndarray:
+    """Choi matrix sum_{i,j} |phi_i><phi_j| (x) B(|phi_i><phi_j|) of a Kraus
+    channel, in closed form: C = V V^*, where column k of V is the row-major
+    flattening of J conj(M_k), J = U U^T.  One d^2 x k x d^2 product.
 
-    The production Kraus -> Choi path, one d^2 x k x d^2 product.  Equals
-    choi_map of the same channel given without its Kraus stack.
+    The reference vector sum_j phi_j (x) phi_j is kept unnormalized unless
+    ``normalize`` is set, which divides the result by the dimension.
+    hsdual.paper.choi_of_map probes the matrix units instead, the oracle.
     """
     m = _kraus(ms, basis, "Choi matrix")
     k, d, _ = m.shape
@@ -205,31 +198,6 @@ def kraus_to_choi(ms, basis: Basis, normalize: bool = False) -> np.ndarray:
     return c
 
 
-def choi_map(b: HSMap, basis: Basis, normalize: bool = False) -> np.ndarray:
-    """Choi matrix sum_{i,j} |phi_i><phi_j| (x) b(|phi_i><phi_j|).
-
-    Defined for the square case only; the reference vector
-    sum_j phi_j (x) phi_j is kept unnormalized unless ``normalize`` is set,
-    which divides the result by the dimension.  A map that carries a Kraus
-    stack takes the closed form kraus_to_choi; any other map is probed on the
-    d^2 matrix units (the paper's construction, the oracle for the tests).
-    """
-    d = basis.dim
-    if (b.d1, b.d2) != (d, d):
-        raise DimensionMismatchError("choi_map: requires a square map matching the basis")
-    if b.kraus is not None:
-        return kraus_to_choi(b.kraus, basis, normalize)
-    n = d * d
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.outer(basis.column(i), np.conj(basis.column(j)))
-            out += kron(unit, b(unit))
-    if normalize:
-        out /= d
-    return out
-
-
 def compose(b1: SuperOp, b2: SuperOp) -> SuperOp:
     """Composition b1 after b2, a plain product of R-matrices."""
     if (b1.d1, b1.d2) != (b2.d1, b2.d2):
@@ -242,41 +210,40 @@ def compose(b1: SuperOp, b2: SuperOp) -> SuperOp:
     return SuperOp(b1.rmatrix @ b2.rmatrix, b1.bases)
 
 
-def check_cp(b: HSMap, basis: Basis, tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Complete positivity via the Choi criterion, with psd_check's threshold
-    -tol.abs * (1 + lambda_max) on the least eigenvalue of the Choi matrix C.
+def check_cp(ms, basis: Basis) -> Verdict:
+    """Complete positivity of a Kraus channel via the Choi criterion, with
+    psd_check's default threshold -1e-10 * (1 + lambda_max) on the least
+    eigenvalue of the Choi matrix C.
 
-    A map that carries a Kraus stack has C = V V^*, positive by construction,
-    and the nonzero eigenvalues of C are those of the k x k Gram matrix V^* V.
-    So for k < d^2 the verdict is PASS with the structural least eigenvalue 0,
-    and lambda_max is read off the Gram matrix; C is never built.  The Gram
-    matrix does not depend on the basis (J is unitary), which only has to
-    match the dimension.  For k >= d^2 the Gram matrix is no smaller than C,
-    so psd_check runs on C itself.  Any other map is probed through choi_map
-    and held to psd_check.  Every path refuses d^4 > MAX_KRON_ENTRIES.
+    C = V V^* is positive by construction, and its nonzero eigenvalues are
+    those of the k x k Gram matrix V^* V.  So for k < d^2 the verdict is PASS
+    with the structural least eigenvalue 0, and lambda_max is read off the
+    Gram matrix; C is never built.  The Gram matrix does not depend on the
+    basis (J is unitary), which only has to match the dimension.  For
+    k >= d^2 the Gram matrix is no smaller than C, so psd_check runs on C
+    itself.  Both paths refuse d^4 > MAX_KRON_ENTRIES.
     """
-    if b.kraus is None:
-        return psd_check(choi_map(b, basis), tol)
-    m = _kraus(b.kraus, basis, "Choi matrix")
+    m = _kraus(ms, basis, "Choi matrix")
     k, d, _ = m.shape
     guard_entries(d**4, "Choi matrix")
     if k >= d * d:
-        return psd_check(kraus_to_choi(m, basis), tol)
+        return psd_check(choi_map(m, basis))
     w = m.reshape(k, d * d)
-    threshold = -tol.abs * (1 + float(np.linalg.eigvalsh(w.conj() @ w.T)[-1]))
+    threshold = -DEFAULT_TOL.abs * (1 + float(np.linalg.eigvalsh(w.conj() @ w.T)[-1]))
     # 0 >= threshold, unless lambda_max overflowed a double.
     return Verdict(bool(np.isfinite(threshold)), 0.0, threshold)
 
 
-def check_tp(ms, tol: Tolerance = DEFAULT_TOL) -> Verdict:
+def check_tp(ms) -> Verdict:
     """Trace preservation of a Kraus channel: sum_i M_i M_i* == I."""
-    return tp_verdict(tp_deviation(ms), tol)
+    return tp_verdict(tp_deviation(ms))
 
 
-def tp_verdict(deviation: float, tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Trace preservation passes iff tp_deviation is at most abs + rel of tol:
-    the relative part is scaled by 1, the largest entry of the identity."""
-    return Verdict.at_most(deviation, tol.abs + tol.rel)
+def tp_verdict(deviation: float) -> Verdict:
+    """Trace preservation passes iff tp_deviation is at most abs + rel of the
+    default tolerance: the relative part is scaled by 1, the largest entry of
+    the identity."""
+    return Verdict.at_most(deviation, DEFAULT_TOL.abs + DEFAULT_TOL.rel)
 
 
 def random_tp_kraus(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:

@@ -22,12 +22,11 @@ from hsdual.linalg import (
     operator_norm,
     psd_check,
 )
-from hsdual.paper import devec_via_slices, kraus_to_r, lift_r, phi_plus, vec_t
+from hsdual.paper import choi_of_map, devec_via_slices, kraus_to_r, lift_r, phi_plus, vec_t
 from hsdual.selftest import random_tp_kraus
 from hsdual.superop import (
     HSMap,
     SuperOp,
-    choi_map,
     compose,
     kraus_apply,
     kraus_to_r_kron,
@@ -174,7 +173,7 @@ def test_criterion_08_complete_positivity():
 
 def test_criterion_09_choi_behavior():
     basis = Basis.standard(2)
-    c_id = choi_map(HSMap.identity(2, 2), basis)
+    c_id = choi_of_map(HSMap.identity(2, 2), basis)
     expected = np.zeros((4, 4), dtype=complex)
     for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
         expected[i, j] = 1
@@ -185,8 +184,8 @@ def test_criterion_09_choi_behavior():
         m1 = complex_gaussian(4, 4, rng)
         m2 = complex_gaussian(4, 4, rng)
         lhs = hs_inner(
-            choi_map(HSMap.from_matrix(m1, 2, 2), basis),
-            choi_map(HSMap.from_matrix(m2, 2, 2), basis),
+            choi_of_map(HSMap.from_matrix(m1, 2, 2), basis),
+            choi_of_map(HSMap.from_matrix(m2, 2, 2), basis),
         )
         ref = hs_inner(m1, m2)
         assert abs(lhs - ref) <= 1e-10 * (1 + abs(ref))
@@ -194,7 +193,7 @@ def test_criterion_09_choi_behavior():
     # Non-multiplicativity exhibit: the identity map against itself.
     assert operator_norm(c_id - c_id @ c_id) >= 0.1
 
-    c_t = choi_map(HSMap(2, 2, lambda a: a.T.copy()), basis)
+    c_t = choi_of_map(HSMap(2, 2, lambda a: a.T.copy()), basis)
     assert abs(min_eigenvalue(c_t) + 1.0) <= 1e-10
     report(9, "Choi behavior")
 

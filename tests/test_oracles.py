@@ -18,7 +18,6 @@ PRODUCTION = ("cli", "io", "linalg", "vectorize", "superop", "entangle", "bench"
 # Production functions allowed to call kron, by module-qualified name.
 KRON_CALLERS = {
     "vectorize._product_coefficients",  # the basis change of devec_jstar and partial_slice
-    "superop.choi_map",  # the probe of a map given only as a callable
 }
 # The guarded wrapper itself, whose body is the one np.kron call it wraps.
 KRON_WRAPPER = "linalg.kron"

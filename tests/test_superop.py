@@ -22,13 +22,12 @@ from hsdual.superop import (
     choi_map,
     compose,
     kraus_apply,
-    kraus_to_choi,
     kraus_to_r_kron,
     lower_s,
     tp_deviation,
 )
 from hsdual.entangle import schmidt
-from hsdual.paper import choi_of_vector, kraus_to_r, lift_r, m_alpha, phi_plus, vec_t
+from hsdual.paper import choi_of_map, choi_of_vector, kraus_to_r, lift_r, m_alpha, phi_plus, vec_t
 from hsdual.vectorize import Basis, BasisPair, devec_jstar, partial_slice, vec_j
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -168,7 +167,7 @@ def test_m_alpha_matches_direct_collapse():
 
 
 def test_choi_of_identity():
-    c = choi_map(HSMap.identity(2, 2), Basis.standard(2))
+    c = choi_of_map(HSMap.identity(2, 2), Basis.standard(2))
     expected = np.zeros((4, 4), dtype=complex)
     for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
         expected[i, j] = 1
@@ -178,14 +177,14 @@ def test_choi_of_identity():
 
 
 def test_choi_of_transpose_is_swap():
-    c = choi_map(HSMap(2, 2, lambda a: a.T.copy()), Basis.standard(2))
+    c = choi_of_map(HSMap(2, 2, lambda a: a.T.copy()), Basis.standard(2))
     swap = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
             swap[i * 2 + j, j * 2 + i] = 1
     assert np.abs(c - swap).max() < 1e-15
     assert abs(min_eigenvalue(c) + 1.0) < 1e-12
-    v = check_cp(HSMap(2, 2, lambda a: a.T.copy()), Basis.standard(2))
+    v = psd_check(choi_of_map(HSMap(2, 2, lambda a: a.T.copy()), Basis.standard(2)))
     assert not v.passed and abs(v.value + 1.0) < 1e-12
 
 
@@ -194,7 +193,7 @@ def test_choi_positivity_of_kraus_channels():
     for _ in range(50):
         d = int(rng.integers(2, 4))
         ms = random_tp_kraus(d, int(rng.integers(1, 4)), rng)
-        assert check_cp(HSMap.from_kraus(ms), Basis.standard(d)).passed
+        assert check_cp(ms, Basis.standard(d)).passed
 
 
 GRAM_CP_CASES = sorted({(d, k) for d in (1, 2, 3, 5, 8) for k in (1, 2, d * d - 1, d * d, d * d + 1) if k >= 1})
@@ -209,8 +208,8 @@ def test_gram_cp_verdict_matches_choi_eigensolve(d, k):
     for basis in (Basis.standard(d), Basis.random(d, 100 * d + k)):
         for scale in (1.0, 1e100, 1e-100):
             ms = scale * stack
-            v = check_cp(HSMap.from_kraus(ms), basis)
-            oracle = psd_check(kraus_to_choi(ms, basis))
+            v = check_cp(ms, basis)
+            oracle = psd_check(choi_map(ms, basis))
             assert v.passed == oracle.passed
             assert abs(v.threshold - oracle.threshold) <= 1e-12 * abs(oracle.threshold)
             if k < d * d:
@@ -222,17 +221,17 @@ def test_gram_cp_verdict_matches_choi_eigensolve(d, k):
 def test_gram_cp_fails_when_lambda_max_overflows():
     ms = np.array([[[1e300, 0], [0, 1]]])  # as psd_check of the Choi matrix does
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not check_cp(HSMap.from_kraus(ms), Basis.standard(2)).passed
+        assert not check_cp(ms, Basis.standard(2)).passed
 
 
 def test_gram_cp_never_builds_the_choi_matrix():
     import tracemalloc
 
     d = 32
-    b = HSMap.from_kraus(random_tp_kraus(d, 2, np.random.default_rng(24)))
+    ms = random_tp_kraus(d, 2, np.random.default_rng(24))
     tracemalloc.start()
     try:
-        v = check_cp(b, Basis.standard(d))
+        v = check_cp(ms, Basis.standard(d))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -287,19 +286,22 @@ def test_choi_matches_entangled_state_form_for_kraus():
     expected = sum(
         kron(np.eye(d), m.conj().T) @ proj @ kron(np.eye(d), m) for m in ms
     )
-    got = choi_map(HSMap.from_kraus(ms), basis)
+    got = choi_map(ms, basis)
     assert np.abs(got - expected).max() < 1e-12
 
 
 def test_choi_normalize_flag():
-    c = choi_map(HSMap.identity(2, 2), Basis.standard(2))
-    cn = choi_map(HSMap.identity(2, 2), Basis.standard(2), normalize=True)
+    c = choi_of_map(HSMap.identity(2, 2), Basis.standard(2))
+    cn = choi_of_map(HSMap.identity(2, 2), Basis.standard(2), normalize=True)
     assert np.abs(cn - c / 2).max() == 0
+    # The identity channel in closed form gives the same two matrices.
+    assert np.array_equal(choi_map([np.eye(2)], Basis.standard(2)), c)
+    assert np.array_equal(choi_map([np.eye(2)], Basis.standard(2), normalize=True), cn)
 
 
 def test_choi_requires_square():
     with pytest.raises(DimensionMismatchError):
-        choi_map(HSMap.identity(3, 2), Basis.standard(3))
+        choi_of_map(HSMap.identity(3, 2), Basis.standard(3))
 
 
 def test_choi_of_vector():
@@ -315,7 +317,7 @@ def test_choi_of_vector():
 
 
 def test_choi_non_multiplicative():
-    c = choi_map(HSMap.identity(2, 2), Basis.standard(2))
+    c = choi_of_map(HSMap.identity(2, 2), Basis.standard(2))
     assert operator_norm(c - c @ c) >= 0.1
 
 
@@ -452,14 +454,12 @@ def test_closed_form_r_matches_oracles(d, k):
 @pytest.mark.parametrize("d,k", CLOSED_FORM_CASES)
 def test_closed_form_choi_matches_probe(d, k):
     ms, bases = _kraus_and_bases(d, k, 200 * d + k)
-    probe_map = HSMap(d, d, lambda a: kraus_apply(ms, a))  # no Kraus stack: choi_map probes
-    assert probe_map.kraus is None
     for basis in bases:
         for normalize in (False, True):
-            c = choi_map(HSMap.from_kraus(ms), basis, normalize=normalize)
-            probe = choi_map(probe_map, basis, normalize=normalize)
+            c = choi_map(ms, basis, normalize=normalize)
+            probe = choi_of_map(HSMap.from_kraus(ms), basis, normalize=normalize)
             assert np.abs(c - probe).max() <= 1e-12 * (1 + np.abs(probe).max())
-            assert np.array_equal(c, kraus_to_choi(ms, basis, normalize))
+            assert np.array_equal(c, choi_map(ms, basis) / (d if normalize else 1))
 
 
 def test_closed_form_choi_is_reshuffled_r():
@@ -469,7 +469,7 @@ def test_closed_form_choi_is_reshuffled_r():
     ms = random_tp_kraus(d, 3, rng)
     r = kraus_to_r_kron(ms)
     reshuffled = r.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-    assert np.abs(kraus_to_choi(ms, Basis.standard(d)) - reshuffled).max() < 1e-14
+    assert np.abs(choi_map(ms, Basis.standard(d)) - reshuffled).max() < 1e-14
 
 
 def test_superoperator_cap_refuses_d33():
@@ -479,17 +479,27 @@ def test_superoperator_cap_refuses_d33():
     with pytest.raises(DimensionMismatchError, match="R-matrix would have"):
         SuperOp.from_kraus(ms, Basis.standard(d))
     with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
-        choi_map(HSMap.from_kraus(ms), Basis.standard(d))
+        choi_map(ms, Basis.standard(d))
     with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
-        check_cp(HSMap.from_kraus(ms), Basis.standard(d))
+        check_cp(ms, Basis.standard(d))
+    with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
+        choi_of_map(HSMap.from_kraus(ms), Basis.standard(d))
     assert kraus_to_r_kron([np.eye(32, dtype=complex)]).shape == (1024, 1024)
+
+
+def test_lift_r_refuses_before_probing():
+    # (d1 * d2)^2 = 1600^2 entries: refused before the probe array exists.
+    with pytest.raises(DimensionMismatchError, match="R-matrix would have 2560000 entries"):
+        lift_r(HSMap.identity(40, 40), BasisPair.standard(40, 40))
 
 
 def test_closed_forms_reject_basis_of_other_dimension():
     with pytest.raises(DimensionMismatchError):
         kraus_to_r_kron([np.eye(2)], Basis.standard(3))
     with pytest.raises(DimensionMismatchError):
-        kraus_to_choi([np.eye(2)], Basis.standard(3))
+        choi_map([np.eye(2)], Basis.standard(3))
+    with pytest.raises(DimensionMismatchError):
+        check_cp([np.eye(2)], Basis.standard(3))
 
 
 def test_kraus_list_tuple_and_stack_give_identical_results():
@@ -503,7 +513,8 @@ def test_kraus_list_tuple_and_stack_give_identical_results():
             kraus_apply(channel, a),
             tp_deviation(channel),
             SuperOp.from_kraus(channel, basis).rmatrix,
-            kraus_to_choi(channel, basis),
+            choi_map(channel, basis),
+            check_cp(channel, basis),
         )
 
     want = results(ms)
@@ -519,6 +530,7 @@ BAD_KRAUS = {
     "ragged": [np.eye(2), np.eye(3)],
     "non-square": [np.ones((2, 3)), np.ones((2, 3))],
     "1-D": [np.ones(2), np.ones(2)],
+    "hsmap": HSMap.identity(2, 2),  # a map, not its Kraus blocks
 }
 
 
@@ -530,7 +542,8 @@ def test_kraus_validator_refuses_malformed_channels(name):
         lambda: kraus_apply(ms, np.eye(2)),
         lambda: tp_deviation(ms),
         lambda: SuperOp.from_kraus(ms, basis),
-        lambda: kraus_to_choi(ms, basis),
+        lambda: choi_map(ms, basis),
+        lambda: check_cp(ms, basis),
         lambda: HSMap.from_kraus(ms),
     )
     for call in calls:
