@@ -11,6 +11,7 @@ byte-stable.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -53,11 +54,9 @@ def _header(obj, kind: str, *sizes: str) -> list[int]:
     return out
 
 
-def _matrix(obj) -> np.ndarray:
-    rows, cols = _header(obj, "matrix", "rows", "cols")
-    data = obj.get("data")
-    if not isinstance(data, list) or len(data) != rows:
-        raise FormatError("data must be a list with one entry per row")
+def _check_entries(data: list, cols: int) -> None:
+    """Raise the error for the first row or entry that is not a list of cols
+    [re, im] pairs of numbers."""
     for r, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError(f"row {r} must be a list of {cols} entries")
@@ -69,8 +68,34 @@ def _matrix(obj) -> np.ndarray:
                 and type(entry[1]) in (int, float)
             ):
                 raise FormatError(f"entry ({r},{c}) must be a [re, im] pair of numbers")
+
+
+def _pair_parts(data: list, cols: int) -> list | None:
+    """The flat [re, im, re, im, ...] list if every row is a list of cols
+    [re, im] pairs of numbers, else None; checked a level at a time in bulk.
+
+    The types of the parts are checked, not only what np.array takes as a
+    float: it would read true as 1.0, null as nan and "1" as 1.0.
+    """
+    if {*map(type, data)} != {list} or {*map(len, data)} != {cols}:
+        return None
+    entries = [*chain.from_iterable(data)]
+    if {*map(type, entries)} != {list} or {*map(len, entries)} != {2}:
+        return None
+    parts = [*chain.from_iterable(entries)]
+    return parts if {*map(type, parts)} <= {int, float} else None
+
+
+def _matrix(obj) -> np.ndarray:
+    rows, cols = _header(obj, "matrix", "rows", "cols")
+    data = obj.get("data")
+    if not isinstance(data, list) or len(data) != rows:
+        raise FormatError("data must be a list with one entry per row")
+    flat = _pair_parts(data, cols)
+    if flat is None:
+        _check_entries(data, cols)  # raises, naming the first bad row or entry
     try:
-        parts = np.array(data, dtype=float)  # rows x cols x [re, im]
+        parts = np.array(flat, dtype=float).reshape(rows, cols, 2)
     except OverflowError:
         raise FormatError("an integer entry is too large for a double") from None
     finite = np.isfinite(parts)

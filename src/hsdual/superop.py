@@ -19,8 +19,10 @@ A Kraus channel is one complex k x d x d array, the k blocks M_i stacked.
 Every function that takes a channel passes it through one validator,
 ``_kraus``, which also accepts a list or tuple of equal square blocks and
 raises ``DimensionMismatchError`` for an empty, ragged or non-square input.
-Sums over the blocks (``kraus_apply``, ``tp_deviation``) are one batched
-product each.
+``kraus_apply`` reads the stack as the (k d) x d matrix W, the blocks one
+under another (a free reshape), and returns W^* Y, where Y stacks the
+products A M_i the same way: two products, the second of which sums over the
+blocks.  ``tp_deviation`` is one batched product and a sum.
 
 Each conversion from a Kraus stack has one closed-form production path, an
 index rearrangement of the stacked blocks (Wood, Biamonte and Cory,
@@ -83,13 +85,18 @@ def _kraus(ms, basis: Basis | None = None, what: str = "Kraus channel") -> np.nd
 
 
 def kraus_apply(ms, a) -> np.ndarray:
-    """Apply the channel in Kraus form: sum_i M_i* a M_i."""
+    """Apply the channel in Kraus form: sum_i M_i* a M_i.
+
+    With W the (k d) x d stack of the M_i and Y the (k d) x d stack of the
+    a M_i, the sum is W^* Y: k products of d x d blocks, then one
+    d x kd by kd x d product, which also does the sum over i.
+    """
     m = _kraus(ms)
     a = as_matrix(a)
-    d = m.shape[1]
+    k, d, _ = m.shape
     if a.shape != (d, d):
         raise DimensionMismatchError(f"kraus_apply: state shape {a.shape} != ({d}, {d})")
-    return (m.conj().transpose(0, 2, 1) @ a @ m).sum(axis=0)
+    return m.reshape(k * d, d).conj().T @ np.matmul(a, m).reshape(k * d, d)
 
 
 class HSMap:

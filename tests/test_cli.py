@@ -186,6 +186,30 @@ def test_fault_file_exits_2_with_one_error_line(cli, tmp_path, name):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# One bad entry, the last of a 64 x 64 MatrixFile, and the line each must print.
+LAST_ENTRY_FAULTS = {
+    "true": ("true", "entry (63,63) must be a [re, im] pair of numbers"),
+    "string": ('"x"', "entry (63,63) must be a [re, im] pair of numbers"),
+    "short-pair": ("[1]", "entry (63,63) must be a [re, im] pair of numbers"),
+    "nested-pair": ("[[1, 0]]", "entry (63,63) must be a [re, im] pair of numbers"),
+    # np.array reads [1.5, true] as [1.5, 1.0]; the file must still be refused.
+    "bool-part": ("[1.5, true]", "entry (63,63) must be a [re, im] pair of numbers"),
+    "null-part": ("[0, null]", "entry (63,63) must be a [re, im] pair of numbers"),
+    "huge-int": ("[1" + "0" * 400 + ", 0]", "an integer entry is too large for a double"),
+    "inf": ("[1e999, 0]", "entry (63,63) is not finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAST_ENTRY_FAULTS))
+def test_last_entry_fault_of_a_64x64_file_exits_2_with_its_line(cli, tmp_path, name):
+    entry, message = LAST_ENTRY_FAULTS[name]
+    path = tmp_path / "fault.json"
+    text = Path(write_matrix(path, np.ones((64, 64)))).read_text()
+    assert text.endswith("[1.0, 0.0]]]}")
+    path.write_text(text[: -len("[1.0, 0.0]]]}")] + entry + "]]}")
+    assert cli("vec", str(path)) == (2, "", f"error: {message}\n")
+
+
 # A valid file whose entries are near the double limit: the products each
 # command forms overflow, and it must refuse with one line, not print inf or nan.
 # schmidt forms no product of entries, so its vector has a Schmidt coefficient

@@ -74,13 +74,15 @@ def test_process_entry_matches_in_process_main(cli, files, name):
     assert hsdual_process(*argv) == expected
 
 
-@pytest.mark.parametrize("argv", [("vec", "{m}"), ("check", "{ch}")])
+@pytest.mark.parametrize(
+    "argv", [("vec", "{m}"), ("check", "{ch}"), ("compose", "{ch}", "{ch2}", "--verify")]
+)
 def test_command_loads_neither_bench_nor_selftest(files, argv):
     code, _, err = hsdual_process(*(arg.format(**files) for arg in argv), flags=("-X", "importtime"))
     assert code == 0
     imported = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines() if line.startswith("import time:")}
     assert "hsdual.cli" in imported
-    assert imported & {"hsdual.bench", "hsdual.selftest", "hsdual.paper", "dataclasses"} == set()
+    assert imported & {"hsdual.bench", "hsdual.selftest", "hsdual.paper", "dataclasses", "numpy.random"} == set()
 
 
 def test_main_leaves_the_collector_unfrozen(cli, files):

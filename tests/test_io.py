@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import FAULT_FILES
 
 from hsdual.io import FORMAT_VERSION, FormatError, fmt_number, format_matrix, parse_channel, parse_matrix
+from hsdual.io import _check_entries, _pair_parts
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf,
            1e16, -1e16, 1e22, 1 / 3, -2.5e-7, 0.1, 123456789012345678.0]
@@ -201,3 +202,27 @@ def test_parse_matrix_returns_an_array_or_raises_format_error(text):
 @with_fault_examples
 def test_parse_channel_returns_arrays_or_raises_format_error(text):
     check_parses_or_refuses(parse_channel, text)
+
+
+# The bulk check of the entries and the loop that words its errors must accept
+# the same data: a file the bulk check refuses goes to the loop, which must
+# raise.
+entry_values = st.lists(numbers, min_size=2, max_size=2) | json_values
+data_values = st.lists(st.lists(entry_values, min_size=1, max_size=3) | json_values, min_size=1, max_size=3)
+
+
+@FUZZ
+@given(st.integers(1, 3), data_values)
+@example(1, [[[1.5, True]]])
+@example(2, [[[1, 0], [0, None]]])
+@example(1, [[[1, 0, 0]], [[1]]])
+def test_bulk_entry_check_accepts_what_the_entry_loop_accepts(cols, data):
+    try:
+        _check_entries(data, cols)
+        loop_accepts = True
+    except FormatError:
+        loop_accepts = False
+    parts = _pair_parts(data, cols)
+    assert (parts is not None) == loop_accepts
+    if loop_accepts:
+        assert parts == [x for row in data for entry in row for x in entry]

@@ -126,6 +126,30 @@ def test_kraus_apply_identity_and_bitflip():
     assert np.abs(kraus_apply([X], state) - np.diag([1 - p, p])).max() < 1e-15
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 32])
+@pytest.mark.parametrize("k", ["1", "3", "d^2"])
+def test_kraus_apply_matches_the_plain_sum(d, k):
+    # The stacked product W^* Y against sum_i M_i^* a M_i one block at a time,
+    # for every form of channel, a non-contiguous state and real inputs.
+    rng = np.random.default_rng(d)
+    k = d * d if k == "d^2" else int(k)
+    ms = np.stack([complex_gaussian(d, d, rng) for _ in range(k)])
+    a = complex_gaussian(d, d, rng)
+    cases = [
+        (ms, a),
+        (list(ms), a),
+        (tuple(ms), a),
+        (ms, a.T),
+        (ms.real, a.real),
+        (list(ms.real), a.real.T),
+    ]
+    for channel, state in cases:
+        want = sum(m.conj().T @ state @ m for m in channel)
+        got = kraus_apply(channel, state)
+        assert got.shape == (d, d) and got.dtype == complex
+        assert np.abs(got - want).max() <= 1e-12 * (1 + np.linalg.norm(want))
+
+
 def test_kraus_apply_trace_preservation():
     rng = np.random.default_rng(9)
     ms = random_tp_kraus(3, 3, rng)
