@@ -15,7 +15,6 @@ _EXPORTS = {
     **dict.fromkeys(
         [
             "DimensionMismatchError",
-            "Tolerance",
             "Verdict",
             "adjoint",
             "hs_inner",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .entangle import schmidt
 from .io import FormatError, fmt_number, format_matrix, load_channel, load_matrix
-from .linalg import DimensionMismatchError
+from .linalg import DimensionMismatchError, unitary_defect
 
 # hsbench/tracing.py wraps these names on this module, so they must stay importable.
 from .linalg import is_hermitian, min_eigenvalue, operator_norm  # noqa: F401
@@ -56,7 +56,7 @@ def _load_basis(path: str | None, d: int) -> Basis:
     u = load_matrix(path)
     if u.shape != (d, d):
         raise DimensionMismatchError(f"basis file {path}: shape {u.shape}, expected ({d}, {d})")
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-8:
+    if unitary_defect(u) > 1e-8:
         raise FormatError(f"basis file {path}: matrix is not unitary within 1e-8")
     # Snap to the nearest exact unitary (polar factor) so the strict Basis
     # invariant holds; moves each column by at most the 1e-8 residue.

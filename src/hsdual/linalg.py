@@ -3,6 +3,8 @@
 Everything operates on plain numpy arrays of dtype complex128.  Matrices are
 row-major 2-D arrays; vectors are 1-D arrays.  All functions are pure and hold
 no global state (random generation is seeded explicitly by the caller).
+Each acceptance rule is written once, here: ``Verdict.psd``, ``is_hermitian``
+and ``unitary_defect``; the PSD, Hermitian and TP bounds scale ``TOL``.
 """
 
 from __future__ import annotations
@@ -28,22 +30,8 @@ def guard_entries(entries: int, what: str) -> None:
         )
 
 
-class Tolerance(NamedTuple):
-    """Absolute/relative comparison tolerance: pass iff |x-y| <= abs + rel*max(|x|,|y|)."""
-
-    abs: float = 1e-10
-    rel: float = 1e-10
-
-    def close(self, x, y) -> bool:
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if x.shape != y.shape:
-            return False
-        scale = np.maximum(np.abs(x), np.abs(y))
-        return bool(np.all(np.abs(x - y) <= self.abs + self.rel * scale))
-
-
-DEFAULT_TOL = Tolerance()
+# The absolute tolerance of the PSD, TP and Hermitian checks.
+TOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -93,11 +81,22 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
-def is_hermitian(h, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_hermitian(h) -> bool:
+    """h == h* entrywise within TOL + TOL * max(|h|, |h*|)."""
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         return False
-    return tol.close(h, h.conj().T)
+    hs = h.conj().T
+    return bool(np.all(np.abs(h - hs) <= TOL + TOL * np.maximum(np.abs(h), np.abs(hs))))
+
+
+def unitary_defect(u) -> float:
+    """max |U*U - I| over the entries: 0 for an isometry and for an empty
+    matrix, inf when an entry is not a number, so that no bound passes it."""
+    u = as_matrix(u)
+    with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN, reported as inf
+        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1])), initial=0.0))
+    return np.inf if np.isnan(defect) else defect
 
 
 def svd(a):
@@ -129,25 +128,30 @@ class Verdict(NamedTuple):
         """Pass iff value <= threshold (a deviation under its bound)."""
         return cls(value <= threshold, value, threshold)
 
+    @classmethod
+    def psd(cls, least: float, top: float) -> "Verdict":
+        """The PSD rule: pass iff least >= -TOL * (1 + top), top the largest
+        |eigenvalue|; FloatingPointError if top overflowed (eigvalsh is silent)."""
+        if not np.isfinite(top):
+            raise FloatingPointError("overflow encountered in eigvalsh: an eigenvalue exceeds the double range")
+        threshold = -TOL * (1 + top)
+        return cls(least >= threshold, least, threshold)
+
     @property
     def status(self) -> str:
         return "PASS" if self.passed else "FAIL"
 
 
-def psd_check(h, tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Positive semidefiniteness from one eigendecomposition.
-
-    h must be Hermitian within tol, and the least eigenvalue of its Hermitian
-    part H (the verdict's value) must be >= -tol.abs * (1 + ||H||_2), where
-    ||H||_2 = max |lambda| comes from the same eigenvalues.
-    """
+def psd_check(h) -> Verdict:
+    """PSD from one eigendecomposition: h is Hermitian and the least eigenvalue
+    of its Hermitian part H passes ``Verdict.psd`` with top = ||H||_2."""
     h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise DimensionMismatchError("psd_check: matrix must be square")
+    if h.shape[0] != h.shape[1] or h.size == 0:
+        raise DimensionMismatchError("psd_check: matrix must be square and nonempty")
     w = np.linalg.eigvalsh((h + h.conj().T) / 2)  # ascending
-    mineig = float(w[0])
-    threshold = -tol.abs * (1 + max(-mineig, float(w[-1])))
-    return Verdict(is_hermitian(h, tol) and mineig >= threshold, mineig, threshold)
+    least = float(w[0])
+    v = Verdict.psd(least, max(-least, float(w[-1])))
+    return v._replace(passed=v.passed and is_hermitian(h))
 
 
 def min_eigenvalue(h) -> float:

@@ -40,8 +40,9 @@ eigenvalues are those of the k x k Gram matrix V^* V (Watrous, The Theory of
 Quantum Information, ch. 2).  For k < d^2 the least eigenvalue of C is 0, and
 the largest, which sets the threshold, comes from the Gram matrix: O(k d^2)
 to form V, O(k^2 d^2) for V^* V and O(k^3) for its eigenvalues, with no
-d^4 array.  For k >= d^2 C is built and eigensolved.  The d^4 entry cap
-still applies, so a channel the Choi matrix could not hold is refused.
+d^4 array.  For k >= d^2 C is built and eigensolved.  Both paths end in
+``linalg.Verdict.psd``, which refuses a lambda_max that overflowed.  The d^4
+entry cap still applies, so a channel the Choi matrix could not hold is refused.
 
 hsdual.paper holds the paper's literal constructions, the oracles for these;
 its ``choi_of_map`` gives the Choi matrix of a map that is not a Kraus stack.
@@ -56,7 +57,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
+    TOL,
     DimensionMismatchError,
     Verdict,
     as_matrix,
@@ -218,9 +219,8 @@ def compose(b1: SuperOp, b2: SuperOp) -> SuperOp:
 
 
 def check_cp(ms, basis: Basis) -> Verdict:
-    """Complete positivity of a Kraus channel via the Choi criterion, with
-    psd_check's default threshold -1e-10 * (1 + lambda_max) on the least
-    eigenvalue of the Choi matrix C.
+    """Complete positivity of a Kraus channel via the Choi criterion: the PSD
+    rule ``Verdict.psd`` on the least eigenvalue of the Choi matrix C.
 
     C = V V^* is positive by construction, and its nonzero eigenvalues are
     those of the k x k Gram matrix V^* V.  So for k < d^2 the verdict is PASS
@@ -236,9 +236,7 @@ def check_cp(ms, basis: Basis) -> Verdict:
     if k >= d * d:
         return psd_check(choi_map(m, basis))
     w = m.reshape(k, d * d)
-    threshold = -DEFAULT_TOL.abs * (1 + float(np.linalg.eigvalsh(w.conj() @ w.T)[-1]))
-    # 0 >= threshold, unless lambda_max overflowed a double.
-    return Verdict(bool(np.isfinite(threshold)), 0.0, threshold)
+    return Verdict.psd(0.0, float(np.linalg.eigvalsh(w.conj() @ w.T)[-1]))
 
 
 def check_tp(ms) -> Verdict:
@@ -247,10 +245,9 @@ def check_tp(ms) -> Verdict:
 
 
 def tp_verdict(deviation: float) -> Verdict:
-    """Trace preservation passes iff tp_deviation is at most abs + rel of the
-    default tolerance: the relative part is scaled by 1, the largest entry of
-    the identity."""
-    return Verdict.at_most(deviation, DEFAULT_TOL.abs + DEFAULT_TOL.rel)
+    """Trace preservation passes iff tp_deviation is at most 2 * TOL: TOL
+    absolute plus TOL relative to 1, the largest entry of the identity."""
+    return Verdict.at_most(deviation, 2 * TOL)
 
 
 def random_tp_kraus(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,11 +24,11 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatchError,
-    Tolerance,
     as_matrix,
     as_vector,
     kron,
     random_unitary,
+    unitary_defect,
 )
 
 
@@ -43,7 +43,7 @@ class Basis:
         u = as_matrix(u)
         if u.shape[0] != u.shape[1]:
             raise DimensionMismatchError("Basis: matrix must be square")
-        if not Tolerance(abs=1e-10, rel=0.0).close(u.conj().T @ u, np.eye(u.shape[0])):
+        if unitary_defect(u) > 1e-10:
             raise ValueError("Basis: columns are not orthonormal within 1e-10")
         vars(self)["u"] = u
 
@@ -84,9 +84,9 @@ class Basis:
         """Orthonormal basis whose first column is the given unit vector."""
         phi = as_vector(phi)
         d = phi.shape[0]
-        # The bound Basis puts on each diagonal entry of U*U, checked here so
-        # that the refusal names adapted_to.
-        if abs(np.vdot(phi, phi).real - 1.0) > 1e-10:
+        # The bound Basis puts on U*U, checked on phi as a column so that the
+        # refusal names adapted_to.
+        if unitary_defect(phi[:, None]) > 1e-10:
             raise ValueError("adapted_to: vector must be normalized (|norm^2 - 1| <= 1e-10)")
         cols = np.column_stack([phi, np.eye(d, dtype=complex)])
         q = np.linalg.qr(cols)[0][:, :d]

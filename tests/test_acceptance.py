@@ -12,7 +12,6 @@ from hsdual.bench import BenchConfig, run_bench
 from hsdual.entangle import schmidt, schmidt_rank
 from hsdual.io import parse_matrix
 from hsdual.linalg import (
-    Tolerance,
     adjoint,
     complex_gaussian,
     hs_inner,
@@ -167,7 +166,7 @@ def test_criterion_08_complete_positivity():
                 r_ij = lift_r(HSMap.from_matrix(adjoint(amats[i]) @ amats[j], d, d), bases)
                 block += adjoint(bops[i]) @ r_ij @ bops[j]
         assert min_eigenvalue(block) >= -1e-10 * (1 + operator_norm(block))
-        assert psd_check(block, Tolerance(abs=1e-10)).passed
+        assert psd_check(block).passed
     report(8, "complete positivity block form")
 
 

@@ -213,12 +213,17 @@ def test_last_entry_fault_of_a_64x64_file_exits_2_with_its_line(cli, tmp_path, n
 # A valid file whose entries are near the double limit: the products each
 # command forms overflow, and it must refuse with one line, not print inf or nan.
 # schmidt forms no product of entries, so its vector has a Schmidt coefficient
-# (sqrt(2) * 1.5e308) beyond the double range.
+# (sqrt(2) * 1.5e308) beyond the double range.  The products of FLAT stay
+# finite, but the largest eigenvalue of its Choi matrix (4 blocks) or Gram
+# matrix (3 blocks), about 3e308, overflows inside the eigensolver.
 NEAR_LIMIT = np.array([[1e300, 0], [0, 1]])
+FLAT = np.full((2, 2), 4.47e153)
 OVERFLOW_CALLS = {
     "compose": ("compose", "{ch}"),
     "choi": ("choi", "{ch}"),
     "check-cp": ("check", "--cp", "{ch}"),
+    "check-cp-choi-eigenvalue": ("check", "--cp", "{flat4}"),
+    "check-cp-gram-eigenvalue": ("check", "--cp", "{flat3}"),
     "check-tp": ("check", "--tp", "{ch}"),
     "vec-basis-h1": ("vec", "{eye}", "--basis-h1", "{big}"),
     "schmidt": ("schmidt", "{wide}", "--d1", "2", "--d2", "2"),
@@ -228,6 +233,8 @@ OVERFLOW_CALLS = {
 def near_limit_files(tmp_path):
     return {
         "ch": write_channel(tmp_path / "ch.json", [NEAR_LIMIT]),
+        "flat4": write_channel(tmp_path / "flat4.json", [FLAT] * 4),
+        "flat3": write_channel(tmp_path / "flat3.json", [FLAT] * 3),
         "big": write_matrix(tmp_path / "big.json", NEAR_LIMIT),
         "eye": write_matrix(tmp_path / "eye.json", np.eye(2)),
         "col": write_matrix(tmp_path / "col.json", NEAR_LIMIT.reshape(-1)),

@@ -4,7 +4,7 @@ import pytest
 from hsdual.linalg import (
     MAX_KRON_ENTRIES,
     DimensionMismatchError,
-    Tolerance,
+    Verdict,
     adjoint,
     complex_gaussian,
     hs_inner,
@@ -16,7 +16,9 @@ from hsdual.linalg import (
     psd_check,
     random_unitary,
     svd,
+    unitary_defect,
 )
+from hsdual.superop import tp_verdict
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -181,10 +183,34 @@ def test_is_psd():
     assert not psd_check(np.array([[0, 1], [0, 0]], dtype=complex)).passed  # non-Hermitian
 
 
-def test_is_psd_tolerance_contract():
-    h = np.diag([1.0, -5e-11])
-    assert psd_check(h, Tolerance(abs=1e-10)).passed
-    assert not psd_check(h, Tolerance(abs=1e-12)).passed
+@pytest.mark.parametrize("top", [0.0, 1.0, 1e6])
+def test_psd_rule_holds_at_its_edge(top):
+    edge = -1e-10 * (1 + top)
+    assert Verdict.psd(edge, top) == (True, edge, edge)
+    assert not Verdict.psd(np.nextafter(edge, -np.inf), top).passed
+
+
+def test_tp_rule_holds_at_its_edge():
+    assert tp_verdict(2e-10) == (True, 2e-10, 2e-10)
+    assert not tp_verdict(np.nextafter(2e-10, 1)).passed
+
+
+def test_psd_rule_refuses_an_overflowed_eigenvalue():
+    for top in (np.inf, np.nan):
+        with pytest.raises(FloatingPointError, match="^overflow encountered in eigvalsh"):
+            Verdict.psd(0.0, top)
+    # lambda_max = 2.4e308 is past the double range.
+    with pytest.raises(FloatingPointError, match="^overflow encountered in eigvalsh"):
+        psd_check(np.full((3, 3), 8e307))
+
+
+def test_unitary_defect():
+    assert unitary_defect(np.eye(3)) == 0.0
+    assert unitary_defect(2 * np.eye(2)) == 3.0
+    assert unitary_defect(np.zeros((0, 0))) == 0.0
+    assert unitary_defect(np.array([[1.0], [0.5]])) == 0.25  # a column: |phi*phi - 1|
+    for bad in (np.nan, np.inf):
+        assert unitary_defect(np.array([[bad, 0], [0, 1]])) == np.inf
 
 
 def test_random_unitary():
@@ -217,5 +243,6 @@ def test_psd_check_verdict_fields():
     assert not neg.passed and neg.value == -3.0 and neg.threshold == -1e-10 * 4
     skew = psd_check(np.array([[1, 1], [0, 1]], dtype=complex))
     assert not skew.passed  # not Hermitian, whatever the spectrum of its Hermitian part
-    with pytest.raises(DimensionMismatchError):
-        psd_check(np.ones((2, 3)))
+    for shape in ((2, 3), (0, 0)):
+        with pytest.raises(DimensionMismatchError, match="^psd_check: matrix must be square and nonempty$"):
+            psd_check(np.ones(shape))

@@ -1,8 +1,10 @@
-"""The paper's constructions in hsdual.paper are oracles only.
+"""Rules read off the production source, so they hold for every input, not
+only the ones a test runs.
 
-No production module imports hsdual.paper, and production builds Kronecker
-products only in the functions named below.  Both rules are read off the
-source, so they hold for every input, not only the ones a test runs.
+The paper's constructions in hsdual.paper are oracles only: no production
+module imports hsdual.paper, and production builds Kronecker products only in
+the functions named below.  Each numeric bound is written in one place: a
+float literal below 1e-6 appears only where the table below puts it.
 """
 
 import ast
@@ -21,6 +23,19 @@ KRON_CALLERS = {
 }
 # The guarded wrapper itself, whose body is the one np.kron call it wraps.
 KRON_WRAPPER = "linalg.kron"
+
+# Every float literal below 1e-6 in production, by module-qualified scope
+# (the module itself for a module-level literal).
+SMALL_LITERALS = sorted([
+    ("linalg", 1e-10),  # TOL: the PSD, TP and Hermitian tolerance
+    ("vectorize.Basis.__init__", 1e-10),  # unitary_defect bounds
+    ("vectorize.Basis.adapted_to", 1e-10),
+    ("cli._load_basis", 1e-8),
+    ("entangle.rank_from_lambdas", 1e-10),  # the Schmidt rank cutoff
+    ("entangle.schmidt", 1e-12),  # the phase cutoff
+    ("entangle._check_unit", 1e-8),  # the unit-vector check
+    ("bench.run_bench", 1e-8),  # the agreement bound of the two strategies
+])
 
 PAPER_NAMES = {name for name, module in hsdual._EXPORTS.items() if module == "paper"}
 
@@ -44,24 +59,36 @@ def paper_imports(tree):
     return found
 
 
+def scoped_nodes(node, scope):
+    """Every node below node, with the module-qualified name of the
+    function or class around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from scoped_nodes(child, f"{scope}.{child.name}")
+            continue
+        yield scope, child
+        yield from scoped_nodes(child, scope)
+
+
 def kron_callers(tree, module):
     """Module-qualified name of the function around each call to a kron."""
     found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "kron":
-                    found.append(scope)
-            visit(child, scope)
-
-    visit(tree, module)
+    for scope, node in scoped_nodes(tree, module):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "kron":
+                found.append(scope)
     return found
+
+
+def small_literals(tree, module):
+    """(scope, value) of each float literal in tree below 1e-6, zero aside."""
+    return [
+        (scope, node.value)
+        for scope, node in scoped_nodes(tree, module)
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1e-6
+    ]
 
 
 def test_production_never_imports_the_paper_module():
@@ -75,3 +102,8 @@ def test_production_calls_kron_only_where_listed():
     assert [scope for scope in callers if scope not in KRON_CALLERS | {KRON_WRAPPER}] == []
     # The list names no function that has stopped calling kron.
     assert KRON_CALLERS | {KRON_WRAPPER} == set(callers)
+
+
+def test_production_writes_each_bound_once():
+    found = sorted(pair for module in PRODUCTION for pair in small_literals(parse(module), module))
+    assert found == SMALL_LITERALS

@@ -4,7 +4,6 @@ import pytest
 from hsdual.linalg import (
     MAX_KRON_ENTRIES,
     DimensionMismatchError,
-    Tolerance,
     adjoint,
     complex_gaussian,
     hs_inner,
@@ -243,9 +242,12 @@ def test_gram_cp_verdict_matches_choi_eigensolve(d, k):
 
 
 def test_gram_cp_fails_when_lambda_max_overflows():
-    ms = np.array([[[1e300, 0], [0, 1]]])  # as psd_check of the Choi matrix does
+    # Refused rather than judged against an infinite threshold, as psd_check
+    # of the Choi matrix is.
+    ms = np.array([[[1e300, 0], [0, 1]]])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not check_cp(ms, Basis.standard(2)).passed
+        with pytest.raises(FloatingPointError, match="^overflow encountered in eigvalsh"):
+            check_cp(ms, Basis.standard(2))
 
 
 def test_gram_cp_never_builds_the_choi_matrix():
@@ -442,7 +444,7 @@ def test_complete_positivity_block():
             for j in range(k):
                 r_ij = lift_r(HSMap.from_matrix(adjoint(amats[i]) @ amats[j], d, d), bases)
                 block += adjoint(bops[i]) @ r_ij @ bops[j]
-        assert psd_check(block, Tolerance(abs=1e-10)).passed
+        assert psd_check(block).passed
 
 
 def test_hsmap_linearity():

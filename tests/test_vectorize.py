@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hsdual.entangle import schmidt
-from hsdual.linalg import DimensionMismatchError, Tolerance, Verdict, complex_gaussian, inner, hs_inner, kron
+from hsdual.linalg import DimensionMismatchError, Verdict, complex_gaussian, inner, hs_inner, kron
 from hsdual.paper import devec_via_slices, phi_plus, vec_t
 from hsdual.superop import SuperOp
 from hsdual.vectorize import (
@@ -25,13 +25,16 @@ def test_basis_rejects_non_unitary():
         Basis(np.array([[1, 1], [0, 1]], dtype=complex))
     with pytest.raises(DimensionMismatchError, match="^Basis: matrix must be square$"):
         Basis(np.ones((2, 3), dtype=complex))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^Basis: columns are not orthonormal"):
+            Basis(np.array([[bad, 0], [0, 1]]))
+    assert Basis.standard(0).dim == 0  # the empty basis of C^0
 
 
 def _read_only_fields():
     basis = Basis.random(2, 0)
     pair = BasisPair(basis, Basis.standard(2))
     objects = [
-        (Tolerance(), ["abs", "rel"]),
         (Verdict(True, 0.0, 1.0), ["passed", "value", "threshold"]),
         (basis, ["u", "conjugation"]),
         (pair, ["b1", "b2"]),
@@ -67,6 +70,10 @@ def test_basis_adapted_to_checks_the_bound_basis_enforces():
         Basis.adapted_to(phi * (1 + 5e-9))
     near = phi * (1 + 2e-11)  # | ||near||^2 - 1 | = 4e-11
     assert np.array_equal(Basis.adapted_to(near).column(0), near)
+    # A norm that is not a number is refused by adapted_to too, not by Basis.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^adapted_to"):
+            Basis.adapted_to(np.array([bad, 0]))
 
 
 def test_conjugation_standard_basis_is_entrywise():
