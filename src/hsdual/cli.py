@@ -165,12 +165,19 @@ def _suite(name: str) -> str:
     return name
 
 
+def _seed(args) -> int:
+    """The --seed value; numpy's own error for a negative seed names no flag."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
+
+
 def cmd_selftest(args) -> int:
     from .selftest import SUITES, run_suites
 
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     ok = True
-    for suite, prop, v in run_suites(names, args.seed):
+    for suite, prop, v in run_suites(names, _seed(args)):
         ok &= v.passed
         print(f"{suite}.{prop}: {v.status} (max deviation = {v.value:.3e}, threshold = {v.threshold:.1e})")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -185,7 +192,7 @@ def cmd_bench(args) -> int:
         kraus_rank=args.kraus_rank,
         chain_length=args.chain_length,
         trials=args.trials,
-        seed=args.seed,
+        seed=_seed(args),
     )
     report = run_bench(cfg)
     print(",".join(CSV_COLUMNS))

@@ -87,7 +87,7 @@ def schmidt_rank(alpha, d1: int, d2: int) -> int:
 
 def _check_unit(v, name: str) -> np.ndarray:
     v = as_vector(v)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ValueError(f"{name}: expected a unit vector")
     return v
 

@@ -1,12 +1,21 @@
-"""Executable property suites behind the ``selftest`` CLI subcommand.
+"""The property catalogue behind the ``selftest`` CLI subcommand and the
+acceptance tests.
 
-Every property measures a worst-case numerical deviation over seeded random
-instances and holds it to a fixed threshold (``Verdict.at_most``).  Each suite
-returns its verdicts by property name.  Runs are deterministic for a given
-seed.
+Each property of the paper's constructions is one function
+``prop(rng, n) -> Verdict``: it draws ``n`` random instances from ``rng`` (for
+each dimension it covers, where it covers several), measures the worst
+deviation from the claim and holds it to the property's bound, which is
+written here and nowhere else.  ``SUITES`` lists the properties by suite with
+the size ``selftest`` runs them at; the acceptance tests call the same
+functions at larger sizes and several seeds.  Each property draws from its
+own generator, so a run is deterministic for a given seed and no property's
+numbers depend on another's.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +32,17 @@ from .linalg import (
     psd_check,
     random_unitary_from,
 )
-from .superop import HSMap, check_cp, choi_map, kraus_to_r_kron, lower_s, random_tp_kraus
+from .superop import (
+    HSMap,
+    SuperOp,
+    check_cp,
+    choi_map,
+    compose,
+    kraus_apply,
+    kraus_to_r_kron,
+    lower_s,
+    random_tp_kraus,
+)
 from .vectorize import (
     Basis,
     BasisPair,
@@ -34,307 +53,435 @@ from .vectorize import (
     vec_j,
 )
 from .entangle import schmidt, schmidt_rank
-from .paper import choi_of_map, devec_via_slices, kraus_to_r, lift_r, vec_t
+from .paper import choi_of_map, devec_via_slices, kraus_to_r, lift_r, phi_plus, vec_t
+
+
+# Each suite's properties, in print order, with the size selftest runs each at.
+SUITES: dict[str, list[tuple[Callable[..., Verdict], int]]] = {}
+
+
+def register(suite: str, size: int, bound: float | None = None):
+    """Add the decorated property to suite, where selftest runs it at size.
+
+    With a bound, the function yields deviations, and the property holds the
+    worst of them to bound with ``Verdict.at_most`` (a NaN fails).  Without
+    one, the function returns its Verdict itself.
+    """
+
+    def wrap(fn):
+        prop = fn
+        if bound is not None:
+
+            @functools.wraps(fn)
+            def prop(rng, n: int) -> Verdict:
+                return Verdict.at_most(float(np.max([*fn(rng, n)])), bound)
+
+        SUITES.setdefault(suite, []).append((prop, size))
+        return prop
+
+    return wrap
 
 
 def _random_pair(d1: int, d2: int, rng) -> BasisPair:
     return BasisPair(Basis(random_unitary_from(d1, rng)), Basis(random_unitary_from(d2, rng)))
 
 
-def suite_vectorize(seed: int) -> dict[str, Verdict]:
-    rng = np.random.default_rng(seed)
-    out = {}
+def _vector(d: int, rng) -> np.ndarray:
+    return complex_gaussian(d, 1, rng)[:, 0]
 
-    dev_iso = dev_inv = 0.0
-    for d1, d2 in [(2, 2), (3, 2), (4, 4), (8, 8)]:
+
+def _dist(x, y) -> float:
+    """Largest entrywise distance."""
+    return float(np.abs(x - y).max())
+
+
+def _rel(x: complex, ref: complex) -> float:
+    """Distance relative to 1 + |ref|."""
+    return abs(x - ref) / (1 + abs(ref))
+
+
+VEC_PAIRS = ((2, 2), (3, 2), (4, 4), (8, 8))  # (d1, d2)
+
+
+@register("vectorize", 20, bound=1e-10)
+def isometry_of_vectorization(rng, n):
+    """<vec A, vec B> = <A, B>_HS."""
+    for d1, d2 in VEC_PAIRS:
         bases = _random_pair(d1, d2, rng)
-        for _ in range(20):
-            a = complex_gaussian(d2, d1, rng)
-            b = complex_gaussian(d2, d1, rng)
-            lhs = inner(vec_j(a, bases), vec_j(b, bases))
-            rhs = hs_inner(a, b)
-            dev_iso = max(dev_iso, abs(lhs - rhs) / (1 + abs(rhs)))
-            dev_inv = max(dev_inv, np.abs(devec_jstar(vec_j(a, bases), bases) - a).max())
-            alpha = complex_gaussian(d1 * d2, 1, rng)[:, 0]
-            dev_inv = max(dev_inv, np.abs(vec_j(devec_jstar(alpha, bases), bases) - alpha).max())
-    out["isometry-of-vectorization"] = Verdict.at_most(dev_iso, 1e-10)
-    out["vec-devec-inverse-pair"] = Verdict.at_most(dev_inv, 1e-12)
+        for _ in range(n):
+            a, b = complex_gaussian(d2, d1, rng), complex_gaussian(d2, d1, rng)
+            yield _rel(inner(vec_j(a, bases), vec_j(b, bases)), hs_inner(a, b))
 
-    dev_k = 0.0
-    for d in (2, 5, 8):
-        b = Basis(random_unitary_from(d, rng))
-        for _ in range(10):
-            phi = complex_gaussian(d, 1, rng)[:, 0]
-            psi = complex_gaussian(d, 1, rng)[:, 0]
-            dev_k = max(dev_k, np.abs(conjugate_in_basis(b, conjugate_in_basis(b, phi)) - phi).max())
-            dev_k = max(
-                dev_k,
-                abs(inner(conjugate_in_basis(b, phi), conjugate_in_basis(b, psi)) - inner(psi, phi)),
-            )
-        u = random_unitary_from(d, rng)
-        kcols = np.column_stack([conjugate_in_basis(b, u[:, i]) for i in range(d)])
-        dev_k = max(dev_k, np.abs(kcols.conj().T @ kcols - np.eye(d)).max())
-    out["conjugation-involution-and-antiunitarity"] = Verdict.at_most(dev_k, 1e-12)
 
-    dev_rec = 0.0
-    for _ in range(10):
-        d1, d2 = 4, 3
+@register("vectorize", 20, bound=1e-12)
+def vec_devec_inverse_pair(rng, n):
+    """devec . vec = 1 on operators and vec . devec = 1 on vectors."""
+    for d1, d2 in VEC_PAIRS:
         bases = _random_pair(d1, d2, rng)
-        a = complex_gaussian(d2, d1, rng)
-        rebuilt = np.zeros_like(a)
-        for i in range(d2):
-            for j in range(d1):
-                coeff = inner(bases.b2.column(i), a @ bases.b1.column(j))
-                rebuilt += coeff * np.outer(bases.b2.column(i), np.conj(bases.b1.column(j)))
-        dev_rec = max(dev_rec, np.abs(rebuilt - a).max())
-    out["operator-reconstruction-from-coefficients"] = Verdict.at_most(dev_rec, 1e-12)
+        for _ in range(n):
+            a, alpha = complex_gaussian(d2, d1, rng), _vector(d1 * d2, rng)
+            yield _dist(devec_jstar(vec_j(a, bases), bases), a)
+            yield _dist(vec_j(devec_jstar(alpha, bases), bases), alpha)
 
-    dev_bc = 0.0
-    for _ in range(10):
-        d1, d2 = 3, 2
-        bases = _random_pair(d1, d2, rng)
-        primed = _random_pair(d1, d2, rng)
-        a = complex_gaussian(d2, d1, rng)
-        direct = vec_j(a, primed)
-        total = np.zeros(d1 * d2, dtype=complex)
-        for i in range(d2):
-            for j in range(d1):
-                coeff = inner(bases.b2.column(i), a @ bases.b1.column(j))
-                total += coeff * np.kron(
-                    conjugate_in_basis(primed.b1, bases.b1.column(j)), bases.b2.column(i)
-                )
-        dev_bc = max(dev_bc, np.abs(direct - total).max())
-    out["basis-change-via-conjugation"] = Verdict.at_most(dev_bc, 1e-10)
 
-    dev_sl = 0.0
-    for _ in range(10):
-        d1, d2 = 3, 2
-        bases = _random_pair(d1, d2, rng)
-        phi = complex_gaussian(d1, 1, rng)[:, 0]
-        psi = complex_gaussian(d2, 1, rng)[:, 0]
-        alpha = complex_gaussian(d1 * d2, 1, rng)[:, 0]
-        beta = complex_gaussian(d2, 1, rng)[:, 0]
-        for i in range(d1):
-            lhs = partial_slice(i, np.kron(phi, psi), bases)
-            dev_sl = max(dev_sl, np.abs(lhs - inner(bases.b1.column(i), phi) * psi).max())
-            dev_sl = max(
-                dev_sl,
-                abs(
-                    inner(partial_slice(i, alpha, bases), beta)
-                    - inner(alpha, partial_slice_adjoint(i, beta, bases))
-                ),
-            )
-        resum = sum(
-            np.kron(bases.b1.column(i), partial_slice(i, alpha, bases)) for i in range(d1)
+@register("vectorize", 10, bound=1e-12)
+def conjugation_involution_and_antiunitarity(rng, n):
+    """The conjugation K of a basis: K K = 1, K* = K, <K phi, K psi> = <psi, phi>,
+    and K maps an orthonormal family to an orthonormal family."""
+    for d in (2, 3, 5, 8):
+        k = functools.partial(conjugate_in_basis, Basis(random_unitary_from(d, rng)))
+        for _ in range(n):
+            phi, psi = _vector(d, rng), _vector(d, rng)
+            yield _dist(k(k(phi)), phi)
+            yield abs(inner(k(psi), phi) - inner(k(phi), psi))
+            yield abs(inner(k(phi), k(psi)) - inner(psi, phi))
+        kcols = np.column_stack([k(col) for col in random_unitary_from(d, rng).T])
+        yield _dist(adjoint(kcols) @ kcols, np.eye(d))
+
+
+@register("vectorize", 10, bound=1e-12)
+def operator_reconstruction_from_coefficients(rng, n):
+    """A = sum_ij <psi_i, A phi_j> |psi_i><phi_j| (d1, d2 = 4, 3)."""
+    for _ in range(n):
+        bases = _random_pair(4, 3, rng)
+        a = complex_gaussian(3, 4, rng)
+        rebuilt = sum(
+            inner(psi, a @ phi) * np.outer(psi, phi.conj()) for psi in bases.b2.u.T for phi in bases.b1.u.T
         )
-        dev_sl = max(dev_sl, np.abs(resum - alpha).max())
-        dev_sl = max(dev_sl, np.abs(devec_via_slices(alpha, bases) - devec_jstar(alpha, bases)).max())
-        a = complex_gaussian(d2, d1, rng)
-        dev_sl = max(dev_sl, np.abs(vec_t(a, bases.b1) - vec_j(a, BasisPair(bases.b1, Basis.standard(d2))) ).max())
-    out["slice-operators-and-alternative-devec"] = Verdict.at_most(dev_sl, 1e-12)
-    return out
+        yield _dist(rebuilt, a)
 
 
-def suite_superop(seed: int) -> dict[str, Verdict]:
-    rng = np.random.default_rng(seed)
-    out = {}
+@register("vectorize", 10, bound=1e-10)
+def basis_change_via_conjugation(rng, n):
+    """vec A in primed bases = sum_ij <psi_i, A phi_j> K' phi_j (x) psi_i, K' the
+    conjugation of the primed H1 basis (d1, d2 = 3, 2)."""
+    for _ in range(n):
+        bases, primed = _random_pair(3, 2, rng), _random_pair(3, 2, rng)
+        a = complex_gaussian(2, 3, rng)
+        total = sum(
+            inner(psi, a @ phi) * np.kron(conjugate_in_basis(primed.b1, phi), psi)
+            for psi in bases.b2.u.T
+            for phi in bases.b1.u.T
+        )
+        yield _dist(vec_j(a, primed), total)
 
-    dev_mult = dev_adj = dev_norm = dev_unit = dev_rt = 0.0
-    for d in (2, 3):
+
+@register("vectorize", 10, bound=1e-12)
+def slice_operators_and_alternative_devec(rng, n):
+    """The slices P_i: P_i (phi (x) psi) = <phi_i, phi> psi, P_i* is the adjoint,
+    sum_i phi_i (x) P_i alpha = alpha, and devec through them is devec_jstar."""
+    for d1, d2 in ((3, 2), (4, 3)):
+        for _ in range(n):
+            bases = _random_pair(d1, d2, rng)
+            phi, psi, beta = _vector(d1, rng), _vector(d2, rng), _vector(d2, rng)
+            alpha = _vector(d1 * d2, rng)
+            slices = [partial_slice(i, alpha, bases) for i in range(d1)]
+            for i, col in enumerate(bases.b1.u.T):
+                yield _dist(partial_slice(i, np.kron(phi, psi), bases), inner(col, phi) * psi)
+                yield abs(inner(slices[i], beta) - inner(alpha, partial_slice_adjoint(i, beta, bases)))
+            yield _dist(sum(np.kron(col, s) for col, s in zip(bases.b1.u.T, slices)), alpha)
+            yield _dist(devec_via_slices(alpha, bases), devec_jstar(alpha, bases))
+
+
+@register("vectorize", 10, bound=1e-12)
+def alternative_vectorization(rng, n):
+    """vec_t A = sum_j phi_j (x) A phi_j is vec_j A with the standard H2 basis,
+    and (I (x) A) applied to phi_plus."""
+    for d1, d2 in VEC_PAIRS:
+        b1 = Basis(random_unitary_from(d1, rng))
+        fp = phi_plus(b1)
+        for _ in range(n):
+            a = complex_gaussian(d2, d1, rng)
+            t = vec_t(a, b1)
+            yield _dist(t, vec_j(a, BasisPair(b1, Basis.standard(d2))))
+            yield _dist(t, kron(np.eye(d1), a) @ fp)
+
+
+LIFT_DIMS = (2, 3)
+
+
+def _maps(rng, n):
+    """(bases, m): n dense maps m on d x d operators per d in LIFT_DIMS, with
+    one pair of random bases per d."""
+    for d in LIFT_DIMS:
         bases = _random_pair(d, d, rng)
-        n = d * d
-        for _ in range(15):
-            m1 = complex_gaussian(n, n, rng)
-            m2 = complex_gaussian(n, n, rng)
-            b1 = HSMap.from_matrix(m1, d, d)
-            b2 = HSMap.from_matrix(m2, d, d)
-            b12 = HSMap.from_matrix(m1 @ m2, d, d)
-            r1 = lift_r(b1, bases)
-            r2 = lift_r(b2, bases)
-            dev_mult = max(dev_mult, np.abs(lift_r(b12, bases) - r1 @ r2).max())
-            dev_adj = max(dev_adj, np.abs(lift_r(HSMap.from_matrix(adjoint(m1), d, d), bases) - adjoint(r1)).max())
-            dev_norm = max(dev_norm, abs(operator_norm(r1) - operator_norm(m1)))
-            low = lower_s(r1, bases)
-            probe = complex_gaussian(d, d, rng)
-            dev_rt = max(dev_rt, np.abs(low(probe) - b1(probe)).max())
-        dev_unit = max(dev_unit, np.abs(lift_r(HSMap.identity(d, d), bases) - np.eye(n)).max())
-    out["lift-multiplicativity"] = Verdict.at_most(dev_mult, 1e-8)
-    out["lift-adjoint-preservation"] = Verdict.at_most(dev_adj, 1e-8)
-    out["lift-norm-preservation"] = Verdict.at_most(dev_norm, 1e-8)
-    out["lift-unit-preservation"] = Verdict.at_most(dev_unit, 1e-12)
-    out["lift-lower-round-trip"] = Verdict.at_most(dev_rt, 1e-12)
+        for _ in range(n):
+            yield bases, complex_gaussian(d * d, d * d, rng)
 
-    dev_hs = 0.0
-    for _ in range(20):
-        d = 2
-        bases = _random_pair(d, d, rng)
-        m1 = complex_gaussian(4, 4, rng)
-        m2 = complex_gaussian(4, 4, rng)
-        lhs = hs_inner(lift_r(HSMap.from_matrix(m1, d, d), bases), lift_r(HSMap.from_matrix(m2, d, d), bases))
-        rhs = hs_inner(m1, m2)
-        dev_hs = max(dev_hs, abs(lhs - rhs) / (1 + abs(rhs)))
-    out["lift-hs-inner-preservation"] = Verdict.at_most(dev_hs, 1e-10)
 
-    dev_cp = 0.0
-    for _ in range(10):
-        d = 2
-        bases = _random_pair(d, d, rng)
+def _lift(m, bases: BasisPair) -> np.ndarray:
+    """lift_r of the map whose matrix on column-stacked operators is m."""
+    return lift_r(HSMap.from_matrix(m, bases.d1, bases.d2), bases)
+
+
+@register("superop", 15, bound=1e-8)
+def lift_multiplicativity(rng, n):
+    """R(B1 B2) = R(B1) R(B2)."""
+    for bases, m1 in _maps(rng, n):
+        m2 = complex_gaussian(*m1.shape, rng)
+        yield _dist(_lift(m1 @ m2, bases), _lift(m1, bases) @ _lift(m2, bases))
+
+
+@register("superop", 15, bound=1e-8)
+def lift_adjoint_preservation(rng, n):
+    """R(B*) = R(B)*."""
+    for bases, m in _maps(rng, n):
+        yield _dist(_lift(adjoint(m), bases), adjoint(_lift(m, bases)))
+
+
+@register("superop", 15, bound=1e-8)
+def lift_norm_preservation(rng, n):
+    """||R(B)|| = ||B||."""
+    for bases, m in _maps(rng, n):
+        yield abs(operator_norm(_lift(m, bases)) - operator_norm(m))
+
+
+@register("superop", 1, bound=1e-12)
+def lift_unit_preservation(rng, n):
+    """R(1) = 1, in n pairs of random bases per d."""
+    for d in LIFT_DIMS:
+        for _ in range(n):
+            yield _dist(lift_r(HSMap.identity(d, d), _random_pair(d, d, rng)), np.eye(d * d))
+
+
+@register("superop", 15, bound=1e-12)
+def lift_lower_round_trip(rng, n):
+    """lower_s(R(B)) acts as B, and R(lower_s(r)) = r."""
+    for bases, m in _maps(rng, n):
+        r = _lift(m, bases)
+        low = lower_s(r, bases)
+        probe = complex_gaussian(bases.d2, bases.d1, rng)
+        yield _dist(low(probe), HSMap.from_matrix(m, bases.d1, bases.d2)(probe))
+        yield _dist(lift_r(low, bases), r)
+
+
+@register("superop", 20, bound=1e-10)
+def lift_hs_inner_preservation(rng, n):
+    """<R(B1), R(B2)>_HS = <B1, B2>_HS."""
+    for bases, m1 in _maps(rng, n):
+        m2 = complex_gaussian(*m1.shape, rng)
+        yield _rel(hs_inner(_lift(m1, bases), _lift(m2, bases)), hs_inner(m1, m2))
+
+
+@register("superop", 10)
+def complete_positivity_block_psd(rng, n) -> Verdict:
+    """sum_ij B_i* R(A_i* A_j) B_j is PSD (d = 2, one to three terms): the
+    psd_check verdict of the block nearest its bound, a failing one first."""
+    verdicts = []
+    for _ in range(n):
+        bases = _random_pair(2, 2, rng)
         k = int(rng.integers(1, 4))
         amats = [complex_gaussian(4, 4, rng) for _ in range(k)]
         bops = [complex_gaussian(4, 4, rng) for _ in range(k)]
-        n = 4
-        block = np.zeros((n, n), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                r_ij = lift_r(HSMap.from_matrix(adjoint(amats[i]) @ amats[j], d, d), bases)
-                block += adjoint(bops[i]) @ r_ij @ bops[j]
-        dev_cp = max(dev_cp, max(0.0, -min_eigenvalue(block) / (1 + operator_norm(block))))
-    out["complete-positivity-block-psd"] = Verdict.at_most(dev_cp, 1e-10)
+        block = sum(
+            adjoint(bops[i]) @ _lift(adjoint(amats[i]) @ amats[j], bases) @ bops[j]
+            for i in range(k)
+            for j in range(k)
+        )
+        verdicts.append(psd_check(block))
+    return min(verdicts, key=lambda v: (v.passed, v.value - v.threshold))
 
-    dev_kr = 0.0
-    for _ in range(15):
+
+@register("superop", 15, bound=1e-10)
+def kraus_to_lift_dual_construction(rng, n):
+    """The paper's kraus_to_r, the probe lift_r and the closed form
+    kraus_to_r_kron give one R-matrix (standard basis)."""
+    for _ in range(n):
         d = int(rng.integers(2, 5))
-        rank = int(rng.integers(1, 5))
-        ms = random_tp_kraus(d, rank, rng)
+        ms = random_tp_kraus(d, int(rng.integers(1, 5)), rng)
         basis = Basis.standard(d)
         r_probe = lift_r(HSMap.from_kraus(ms), BasisPair(basis, basis))
         r_alpha = kraus_to_r(ms, basis)
         r_kron = kraus_to_r_kron(ms)
-        dev_kr = max(dev_kr, np.abs(r_probe - r_alpha).max())
-        dev_kr = max(dev_kr, np.abs(r_probe - r_kron).max())
-        dev_kr = max(dev_kr, np.abs(r_alpha - r_kron).max())
-    out["kraus-to-lift-dual-construction"] = Verdict.at_most(dev_kr, 1e-10)
+        yield max(_dist(r_probe, r_alpha), _dist(r_probe, r_kron), _dist(r_alpha, r_kron))
 
-    dev_closed = 0.0
-    for _ in range(10):
+
+@register("superop", 10, bound=1e-10)
+def kraus_to_r_closed_form_random_basis(rng, n):
+    """kraus_to_r_kron = kraus_to_r in a random basis."""
+    for _ in range(n):
         d = int(rng.integers(1, 6))
         ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
         basis = Basis(random_unitary_from(d, rng))
-        dev_closed = max(dev_closed, np.abs(kraus_to_r_kron(ms, basis) - kraus_to_r(ms, basis)).max())
-    out["kraus-to-r-closed-form-random-basis"] = Verdict.at_most(dev_closed, 1e-10)
-    return out
+        yield _dist(kraus_to_r_kron(ms, basis), kraus_to_r(ms, basis))
 
 
-def suite_choi(seed: int) -> dict[str, Verdict]:
-    rng = np.random.default_rng(seed)
-    out = {}
-    basis = Basis.standard(2)
+@register("superop", 4, bound=1e-8)
+def chain_composition_oracle(rng, n):
+    """A chain of n channels (d = 4, rank 3), composed into one R-matrix, acts
+    on ten states as the nested Kraus sums do."""
+    basis = Basis.standard(4)
+    chain = [random_tp_kraus(4, 3, rng) for _ in range(n)]
+    total = SuperOp(np.eye(16, dtype=complex), BasisPair(basis, basis))
+    for ms in chain:
+        total = compose(SuperOp.from_kraus(ms, basis), total)
+    for _ in range(10):
+        state = nested = complex_gaussian(4, 4, rng)
+        for ms in chain:
+            nested = kraus_apply(ms, nested)
+        yield _dist(total.as_hsmap()(state), nested)
 
-    corner = np.zeros((4, 4), dtype=complex)
-    for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
-        corner[i, j] = 1
-    c_id = choi_of_map(HSMap.identity(2, 2), basis)
-    out["choi-of-identity-corner-ones"] = Verdict.at_most(float(np.abs(c_id - corner).max()), 0.0)
 
-    dev_iso = 0.0
-    for _ in range(20):
-        m1 = complex_gaussian(4, 4, rng)
-        m2 = complex_gaussian(4, 4, rng)
-        lhs = hs_inner(choi_of_map(HSMap.from_matrix(m1, 2, 2), basis), choi_of_map(HSMap.from_matrix(m2, 2, 2), basis))
-        rhs = hs_inner(m1, m2)
-        dev_iso = max(dev_iso, abs(lhs - rhs) / (1 + abs(rhs)))
-    out["choi-hs-isometry"] = Verdict.at_most(dev_iso, 1e-10)
+def _budget_channels(rng, n):
+    """Random trace-preserving channels of rank 1 to 3: n each at d = 2, 5, 16,
+    then one at d = 32, whose R-matrix has MAX_KRON_ENTRIES entries."""
+    for d in [size for size in (2, 5, 16) for _ in range(n)] + [32]:
+        yield random_tp_kraus(d, int(rng.integers(1, 4)), rng)
 
-    # Non-multiplicativity exhibit: the identity map composed with itself.
-    sep = float(operator_norm(c_id - c_id @ c_id))
-    out["choi-non-multiplicative-exhibit"] = Verdict.at_most(0.0 if sep >= 0.1 else 1.0, 0.5)
 
-    transpose_map = HSMap(2, 2, lambda a: a.T.copy())
-    dev_t = abs(min_eigenvalue(choi_of_map(transpose_map, basis)) + 1.0)
-    out["choi-of-transpose-min-eigenvalue"] = Verdict.at_most(dev_t, 1e-10)
+@register("superop", 1, bound=1e-10)
+def closed_form_products(rng, n):
+    """The channel N first, then M has the Kraus stack {N_j M_i}, and its
+    R-matrix is R(M) R(N): the lift keeps products, which Choi's matrix does not."""
+    for m in _budget_channels(rng, n):
+        nn = random_tp_kraus(m.shape[1], int(rng.integers(1, 4)), rng)
+        stack = (nn[:, None] @ m[None, :]).reshape(-1, *m.shape[1:])
+        yield _dist(kraus_to_r_kron(stack), kraus_to_r_kron(m) @ kraus_to_r_kron(nn))
 
-    # check_cp certifies a Kraus channel from its Gram matrix; psd_check of the
-    # Choi matrix probed from the map is the oracle for verdict and threshold.
-    dev_psd = 0.0
-    for _ in range(20):
+
+@register("superop", 1, bound=1e-10)
+def closed_form_adjoints(rng, n):
+    """R({M_i*}) = R(M)*."""
+    for m in _budget_channels(rng, n):
+        yield _dist(kraus_to_r_kron(m.conj().transpose(0, 2, 1)), adjoint(kraus_to_r_kron(m)))
+
+
+@register("superop", 1, bound=1e-10)
+def closed_form_trace_preservation(rng, n):
+    """vec(I)* R = vec(S)*, S = sum_i M_i M_i*, as tr B(A) = tr(A S); so
+    vec(I)* R = vec(I)* for a trace-preserving channel.  S is measured, not
+    taken to be I: random_tp_kraus of rank 1 is TP only to about 1e-12 at d = 16."""
+    for m in _budget_channels(rng, n):
+        std = BasisPair.standard(m.shape[1], m.shape[1])
+        s = (m @ m.conj().transpose(0, 2, 1)).sum(axis=0)
+        yield _dist(vec_j(np.eye(m.shape[1]), std).conj() @ kraus_to_r_kron(m), vec_j(s, std).conj())
+
+
+def _choi_2(b: HSMap) -> np.ndarray:
+    return choi_of_map(b, Basis.standard(2))
+
+
+@register("choi", 1, bound=0.0)
+def choi_of_identity_corner_ones(rng, n):
+    """Choi's matrix of the identity map on 2 x 2 operators is 1 at its four
+    corners and 0 elsewhere, exactly."""
+    corner = np.zeros((4, 4))
+    corner[np.ix_((0, 3), (0, 3))] = 1
+    yield _dist(_choi_2(HSMap.identity(2, 2)), corner)
+
+
+@register("choi", 20, bound=1e-10)
+def choi_hs_isometry(rng, n):
+    """<C(B1), C(B2)>_HS = <B1, B2>_HS (d = 2)."""
+    for _ in range(n):
+        m1, m2 = complex_gaussian(4, 4, rng), complex_gaussian(4, 4, rng)
+        lhs = hs_inner(_choi_2(HSMap.from_matrix(m1, 2, 2)), _choi_2(HSMap.from_matrix(m2, 2, 2)))
+        yield _rel(lhs, hs_inner(m1, m2))
+
+
+@register("choi", 1, bound=0.5)
+def choi_non_multiplicative_exhibit(rng, n):
+    """Choi's matrix is not multiplicative: C(1) C(1) is at least 0.1 from C(1)
+    (deviation 0 when it is, 1 when not)."""
+    c_id = _choi_2(HSMap.identity(2, 2))
+    yield 0.0 if operator_norm(c_id - c_id @ c_id) >= 0.1 else 1.0
+
+
+@register("choi", 1, bound=1e-10)
+def choi_of_transpose_min_eigenvalue(rng, n):
+    """Choi's matrix of the 2 x 2 transpose has least eigenvalue -1."""
+    yield abs(min_eigenvalue(_choi_2(HSMap(2, 2, lambda a: a.T.copy()))) + 1.0)
+
+
+@register("choi", 20, bound=1e-10)
+def choi_positivity_of_kraus_channels(rng, n):
+    """check_cp certifies a Kraus channel from its Gram matrix; psd_check of the
+    Choi matrix probed from the map is the oracle for verdict and threshold."""
+    for _ in range(n):
         d = int(rng.integers(2, 4))
         ms = random_tp_kraus(d, int(rng.integers(1, 4)), rng)
         v = check_cp(ms, Basis.standard(d))
         oracle = psd_check(choi_of_map(HSMap.from_kraus(ms), Basis.standard(d)))
-        dev_psd = max(
-            dev_psd,
-            -oracle.value,
-            abs(v.threshold - oracle.threshold) / -oracle.threshold,
-            0.0 if v.passed and oracle.passed else 1.0,
-        )
-    out["choi-positivity-of-kraus-channels"] = Verdict.at_most(dev_psd, 1e-10)
+        yield -oracle.value
+        yield abs(v.threshold - oracle.threshold) / -oracle.threshold
+        yield 0.0 if v.passed and oracle.passed else 1.0
 
-    dev_closed = 0.0
-    for _ in range(10):
+
+@register("choi", 10, bound=1e-10)
+def choi_closed_form_vs_probe(rng, n):
+    """choi_map = choi_of_map, in the standard and a random basis."""
+    for _ in range(n):
         d = int(rng.integers(1, 6))
         ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
         for b in (Basis.standard(d), Basis(random_unitary_from(d, rng))):
-            probe = choi_of_map(HSMap.from_kraus(ms), b)
-            dev_closed = max(dev_closed, np.abs(choi_map(ms, b) - probe).max())
-    out["choi-closed-form-vs-probe"] = Verdict.at_most(dev_closed, 1e-10)
-    return out
+            yield _dist(choi_map(ms, b), choi_of_map(HSMap.from_kraus(ms), b))
 
 
-def suite_entangle(seed: int) -> dict[str, Verdict]:
-    rng = np.random.default_rng(seed)
-    out = {}
-
-    dev_rec = dev_norm = 0.0
-    for _ in range(25):
-        d1 = int(rng.integers(2, 7))
-        d2 = int(rng.integers(2, 7))
+def _schmidt_pairs(rng, n):
+    """(alpha, schmidt(alpha)) for n random vectors, 2 <= d1, d2 <= 6, in random bases."""
+    for _ in range(n):
+        d1, d2 = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         bases = _random_pair(d1, d2, rng)
-        alpha = complex_gaussian(d1 * d2, 1, rng)[:, 0]
-        res = schmidt(alpha, bases)
-        rebuilt = sum(
-            res.lambdas[i] * np.kron(res.left[:, i], res.right[:, i])
-            for i in range(res.lambdas.shape[0])
-        )
-        dev_rec = max(dev_rec, np.abs(rebuilt - alpha).max())
-        dev_norm = max(dev_norm, abs(np.sum(res.lambdas**2) - np.linalg.norm(alpha) ** 2))
-    out["schmidt-reconstruction"] = Verdict.at_most(dev_rec, 1e-10)
-    out["schmidt-norm-identity"] = Verdict.at_most(dev_norm, 1e-10)
+        alpha = _vector(d1 * d2, rng)
+        yield alpha, schmidt(alpha, bases)
 
-    dev_rank = 0.0
-    for _ in range(10):
-        phi = complex_gaussian(3, 1, rng)[:, 0]
-        psi = complex_gaussian(4, 1, rng)[:, 0]
-        if schmidt_rank(np.kron(phi, psi), 3, 4) != 1:
-            dev_rank = 1.0
-        generic = complex_gaussian(9, 1, rng)[:, 0]
-        if schmidt_rank(generic, 3, 3) != 3:
-            dev_rank = 1.0
+
+@register("entangle", 25, bound=1e-10)
+def schmidt_reconstruction(rng, n):
+    """alpha = sum_i lambda_i left_i (x) right_i."""
+    for alpha, res in _schmidt_pairs(rng, n):
+        rebuilt = sum(lam * np.kron(x, y) for lam, x, y in zip(res.lambdas, res.left.T, res.right.T))
+        yield _dist(rebuilt, alpha)
+
+
+@register("entangle", 25, bound=1e-10)
+def schmidt_norm_identity(rng, n):
+    """sum_i lambda_i^2 = ||alpha||^2."""
+    for alpha, res in _schmidt_pairs(rng, n):
+        yield abs(np.sum(res.lambdas**2) - np.linalg.norm(alpha) ** 2)
+
+
+@register("entangle", 10, bound=0.5)
+def schmidt_rank_dichotomy(rng, n):
+    """A product vector has Schmidt rank 1 and a generic 3 x 3 vector rank 3
+    (deviation 1 if either fails)."""
+    for _ in range(n):
+        d1, d2 = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        yield float(schmidt_rank(np.kron(_vector(d1, rng), _vector(d2, rng)), d1, d2) != 1)
+        yield float(schmidt_rank(_vector(9, rng), 3, 3) != 3)
+
+
+@register("entangle", 1, bound=1e-12)
+def schmidt_bell_lambdas(rng, n):
+    """The Bell vector has both Schmidt coefficients 1/sqrt 2."""
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    dev_bell = float(
-        np.abs(schmidt(bell, BasisPair.standard(2, 2)).lambdas - 1 / np.sqrt(2)).max()
-    )
-    out["schmidt-rank-dichotomy"] = Verdict.at_most(dev_rank, 0.5)
-    out["schmidt-bell-lambdas"] = Verdict.at_most(dev_bell, 1e-12)
-
-    dev_inv = 0.0
-    for _ in range(10):
-        d1, d2 = 3, 4
-        alpha = complex_gaussian(d1 * d2, 1, rng)[:, 0]
-        u = random_unitary_from(d1, rng)
-        v = random_unitary_from(d2, rng)
-        rotated = kron(u, v) @ alpha
-        s0 = schmidt(alpha, BasisPair.standard(d1, d2)).lambdas
-        s1 = schmidt(rotated, BasisPair.standard(d1, d2)).lambdas
-        dev_inv = max(dev_inv, float(np.abs(np.sort(s0) - np.sort(s1)).max()))
-    out["schmidt-unitary-invariance"] = Verdict.at_most(dev_inv, 1e-10)
-    return out
+    yield _dist(schmidt(bell, BasisPair.standard(2, 2)).lambdas, 1 / np.sqrt(2))
 
 
-def suite_bench_sanity(seed: int) -> dict[str, Verdict]:
-    cfg = bench_mod.BenchConfig(dim=3, kraus_rank=2, chain_length=4, trials=3, seed=seed)
-    report = bench_mod.run_bench(cfg)
-    return {"bench-method-agreement": Verdict.at_most(report.max_deviation, 1e-8)}
+@register("entangle", 10, bound=1e-10)
+def schmidt_unitary_invariance(rng, n):
+    """The Schmidt coefficients of (U (x) V) alpha are those of alpha (3 x 4)."""
+    std = BasisPair.standard(3, 4)
+    for _ in range(n):
+        alpha = _vector(12, rng)
+        rotated = kron(random_unitary_from(3, rng), random_unitary_from(4, rng)) @ alpha
+        yield _dist(np.sort(schmidt(alpha, std).lambdas), np.sort(schmidt(rotated, std).lambdas))
 
 
-SUITES = {
-    "vectorize": suite_vectorize,
-    "superop": suite_superop,
-    "choi": suite_choi,
-    "entangle": suite_entangle,
-    "bench-sanity": suite_bench_sanity,
-}
+@register("bench-sanity", 4, bound=1e-8)
+def bench_method_agreement(rng, n):
+    """bench's two composition strategies agree on chains of n channels
+    (d = 3 of rank 2, d = 4 of rank 3)."""
+    for dim, rank in ((3, 2), (4, 3)):
+        cfg = bench_mod.BenchConfig(dim, rank, chain_length=n, trials=3, seed=int(rng.integers(2**32)))
+        yield bench_mod.run_bench(cfg).max_deviation
 
 
 def run_suites(names: list[str], seed: int) -> list[tuple[str, str, Verdict]]:
-    """(suite, property, verdict) for every property of the named suites, in order."""
-    return [(suite, prop, v) for suite in names for prop, v in SUITES[suite](seed).items()]
+    """(suite, property, verdict) for every property of the named suites, in
+    order, each at its selftest size on a generator seeded with seed."""
+    return [
+        (suite, fn.__name__.replace("_", "-"), fn(np.random.default_rng(seed), n))
+        for suite in names
+        for fn, n in SUITES[suite]
+    ]

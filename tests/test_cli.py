@@ -490,6 +490,12 @@ def test_negative_digits_exits_2(cli, tmp_path):
     assert cli("vec", path, "--digits", "0")[0] == 0
 
 
+@pytest.mark.parametrize("command", ["selftest", "bench"])
+def test_negative_seed_exits_2_naming_the_flag(cli, command):
+    code, out, err = cli(command, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: --seed must be a non-negative integer, got -1\n")
+
+
 def test_schmidt_64x64(cli, tmp_path):
     rng = np.random.default_rng(64)
     lam = np.array([1.5, 1.25, 1.0, 0.75, 0.5])

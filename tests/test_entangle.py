@@ -134,6 +134,13 @@ def test_product_state_devec_rejects_non_unit():
         product_state_devec(np.array([2.0, 0]), np.array([1.0, 0]), BasisPair.standard(2, 2))
 
 
+@pytest.mark.parametrize("build", [product_state_devec, pure_state_transport])
+@pytest.mark.parametrize("phi", [[np.nan, 0], [np.inf, 0], [2.0, 0]], ids=["nan", "inf", "two"])
+def test_unit_checks_refuse_non_unit_vectors(build, phi):
+    with pytest.raises(ValueError, match="expected a unit vector"):
+        build(np.array(phi), np.array([1.0, 0]), BasisPair.standard(2, 2))
+
+
 def test_pure_state_transport_projection():
     e0 = np.array([1, 0], dtype=complex)
     p = pure_state_transport(e0, e0, BasisPair.standard(2, 2))
