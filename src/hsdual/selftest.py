@@ -6,8 +6,8 @@ Each property of the paper's constructions is one function
 each dimension it covers, where it covers several), measures the worst
 deviation from the claim and holds it to the property's bound, which is
 written here and nowhere else.  ``SUITES`` lists the properties by suite with
-the size ``selftest`` runs them at; the acceptance tests call the same
-functions at larger sizes and several seeds.  Each property draws from its
+the size ``selftest`` runs them at; the acceptance tests call every one of
+them at larger sizes and several seeds.  Each property draws from its
 own generator, so a run is deterministic for a given seed and no property's
 numbers depend on another's.
 """
@@ -56,8 +56,9 @@ from .entangle import schmidt, schmidt_rank
 from .paper import choi_of_map, devec_via_slices, kraus_to_r, lift_r, phi_plus, vec_t
 
 
-# Each suite's properties, in print order, with the size selftest runs each at.
-SUITES: dict[str, list[tuple[Callable[..., Verdict], int]]] = {}
+# Each suite's properties, in print order, with the size selftest runs each at
+# and what the value of its verdict is.
+SUITES: dict[str, list[tuple[Callable[..., Verdict], int, str]]] = {}
 
 
 def register(suite: str, size: int, bound: float | None = None):
@@ -65,18 +66,20 @@ def register(suite: str, size: int, bound: float | None = None):
 
     With a bound, the function yields deviations, and the property holds the
     worst of them to bound with ``Verdict.at_most`` (a NaN fails).  Without
-    one, the function returns its Verdict itself.
+    one, the function returns a ``psd_check`` Verdict itself, whose value is a
+    least eigenvalue held from below.
     """
 
     def wrap(fn):
-        prop = fn
+        prop, value = fn, "least eigenvalue"
         if bound is not None:
+            value = "max deviation"
 
             @functools.wraps(fn)
             def prop(rng, n: int) -> Verdict:
                 return Verdict.at_most(float(np.max([*fn(rng, n)])), bound)
 
-        SUITES.setdefault(suite, []).append((prop, size))
+        SUITES.setdefault(suite, []).append((prop, size, value))
         return prop
 
     return wrap
@@ -100,7 +103,7 @@ def _rel(x: complex, ref: complex) -> float:
     return abs(x - ref) / (1 + abs(ref))
 
 
-VEC_PAIRS = ((2, 2), (3, 2), (4, 4), (8, 8))  # (d1, d2)
+VEC_PAIRS = ((2, 2), (3, 2), (4, 4), (8, 8), (4, 3))  # (d1, d2)
 
 
 @register("vectorize", 20, bound=1e-10)
@@ -127,7 +130,8 @@ def vec_devec_inverse_pair(rng, n):
 @register("vectorize", 10, bound=1e-12)
 def conjugation_involution_and_antiunitarity(rng, n):
     """The conjugation K of a basis: K K = 1, K* = K, <K phi, K psi> = <psi, phi>,
-    and K maps an orthonormal family to an orthonormal family."""
+    K(c phi) = conj(c) K phi, and K maps an orthonormal family to an
+    orthonormal family."""
     for d in (2, 3, 5, 8):
         k = functools.partial(conjugate_in_basis, Basis(random_unitary_from(d, rng)))
         for _ in range(n):
@@ -135,6 +139,8 @@ def conjugation_involution_and_antiunitarity(rng, n):
             yield _dist(k(k(phi)), phi)
             yield abs(inner(k(psi), phi) - inner(k(phi), psi))
             yield abs(inner(k(phi), k(psi)) - inner(psi, phi))
+            c = inner(psi, phi)
+            yield _dist(k(c * phi), np.conj(c) * k(phi))
         kcols = np.column_stack([k(col) for col in random_unitary_from(d, rng).T])
         yield _dist(adjoint(kcols) @ kcols, np.eye(d))
 
@@ -168,8 +174,9 @@ def basis_change_via_conjugation(rng, n):
 
 @register("vectorize", 10, bound=1e-12)
 def slice_operators_and_alternative_devec(rng, n):
-    """The slices P_i: P_i (phi (x) psi) = <phi_i, phi> psi, P_i* is the adjoint,
-    sum_i phi_i (x) P_i alpha = alpha, and devec through them is devec_jstar."""
+    """The slices P_i: P_i (phi (x) psi) = <phi_i, phi> psi, P_i* is the adjoint
+    and P_i P_i* = 1, sum_i phi_i (x) P_i alpha = alpha, and devec through them
+    is devec_jstar."""
     for d1, d2 in ((3, 2), (4, 3)):
         for _ in range(n):
             bases = _random_pair(d1, d2, rng)
@@ -178,35 +185,39 @@ def slice_operators_and_alternative_devec(rng, n):
             slices = [partial_slice(i, alpha, bases) for i in range(d1)]
             for i, col in enumerate(bases.b1.u.T):
                 yield _dist(partial_slice(i, np.kron(phi, psi), bases), inner(col, phi) * psi)
-                yield abs(inner(slices[i], beta) - inner(alpha, partial_slice_adjoint(i, beta, bases)))
+                lifted = partial_slice_adjoint(i, beta, bases)
+                yield abs(inner(slices[i], beta) - inner(alpha, lifted))
+                yield _dist(partial_slice(i, lifted, bases), beta)
             yield _dist(sum(np.kron(col, s) for col, s in zip(bases.b1.u.T, slices)), alpha)
             yield _dist(devec_via_slices(alpha, bases), devec_jstar(alpha, bases))
 
 
 @register("vectorize", 10, bound=1e-12)
 def alternative_vectorization(rng, n):
-    """vec_t A = sum_j phi_j (x) A phi_j is vec_j A with the standard H2 basis,
-    and (I (x) A) applied to phi_plus."""
+    """vec_t A = sum_j phi_j (x) A phi_j is vec_j A with the standard H2 basis
+    and with a random one, and (I (x) A) applied to phi_plus."""
     for d1, d2 in VEC_PAIRS:
         b1 = Basis(random_unitary_from(d1, rng))
         fp = phi_plus(b1)
+        b2 = Basis(random_unitary_from(d2, rng))
         for _ in range(n):
             a = complex_gaussian(d2, d1, rng)
             t = vec_t(a, b1)
             yield _dist(t, vec_j(a, BasisPair(b1, Basis.standard(d2))))
+            yield _dist(t, vec_j(a, BasisPair(b1, b2)))
             yield _dist(t, kron(np.eye(d1), a) @ fp)
 
 
-LIFT_DIMS = (2, 3)
+LIFT_PAIRS = ((2, 2), (3, 3), (3, 2))  # (d1, d2)
 
 
 def _maps(rng, n):
-    """(bases, m): n dense maps m on d x d operators per d in LIFT_DIMS, with
-    one pair of random bases per d."""
-    for d in LIFT_DIMS:
-        bases = _random_pair(d, d, rng)
+    """(bases, m): n dense maps m on d2 x d1 operators per pair in LIFT_PAIRS,
+    with one pair of random bases per pair."""
+    for d1, d2 in LIFT_PAIRS:
+        bases = _random_pair(d1, d2, rng)
         for _ in range(n):
-            yield bases, complex_gaussian(d * d, d * d, rng)
+            yield bases, complex_gaussian(d1 * d2, d1 * d2, rng)
 
 
 def _lift(m, bases: BasisPair) -> np.ndarray:
@@ -238,10 +249,13 @@ def lift_norm_preservation(rng, n):
 
 @register("superop", 1, bound=1e-12)
 def lift_unit_preservation(rng, n):
-    """R(1) = 1, in n pairs of random bases per d."""
-    for d in LIFT_DIMS:
+    """R(1) = 1, in the standard bases and n pairs of random bases per pair in
+    LIFT_PAIRS."""
+    for d1, d2 in LIFT_PAIRS:
+        unit = HSMap.identity(d1, d2)
+        yield _dist(lift_r(unit, BasisPair.standard(d1, d2)), np.eye(d1 * d2))
         for _ in range(n):
-            yield _dist(lift_r(HSMap.identity(d, d), _random_pair(d, d, rng)), np.eye(d * d))
+            yield _dist(lift_r(unit, _random_pair(d1, d2, rng)), np.eye(d1 * d2))
 
 
 @register("superop", 15, bound=1e-12)
@@ -257,10 +271,12 @@ def lift_lower_round_trip(rng, n):
 
 @register("superop", 20, bound=1e-10)
 def lift_hs_inner_preservation(rng, n):
-    """<R(B1), R(B2)>_HS = <B1, B2>_HS."""
+    """<R(B1), R(B2)>_HS = <B1, B2>_HS, and so <R(B), R(B)>_HS = <B, B>_HS."""
     for bases, m1 in _maps(rng, n):
         m2 = complex_gaussian(*m1.shape, rng)
-        yield _rel(hs_inner(_lift(m1, bases), _lift(m2, bases)), hs_inner(m1, m2))
+        r1 = _lift(m1, bases)
+        yield _rel(hs_inner(r1, _lift(m2, bases)), hs_inner(m1, m2))
+        yield _rel(hs_inner(r1, r1), hs_inner(m1, m1))
 
 
 @register("superop", 10)
@@ -306,7 +322,7 @@ def kraus_to_r_closed_form_random_basis(rng, n):
         yield _dist(kraus_to_r_kron(ms, basis), kraus_to_r(ms, basis))
 
 
-@register("superop", 4, bound=1e-8)
+@register("superop", 4, bound=1e-10)
 def chain_composition_oracle(rng, n):
     """A chain of n channels (d = 4, rank 3), composed into one R-matrix, acts
     on ten states as the nested Kraus sums do."""
@@ -350,7 +366,8 @@ def closed_form_adjoints(rng, n):
 def closed_form_trace_preservation(rng, n):
     """vec(I)* R = vec(S)*, S = sum_i M_i M_i*, as tr B(A) = tr(A S); so
     vec(I)* R = vec(I)* for a trace-preserving channel.  S is measured, not
-    taken to be I: random_tp_kraus of rank 1 is TP only to about 1e-12 at d = 16."""
+    taken to be I, so the property holds R alone to the bound, whatever the
+    rounding of the draw."""
     for m in _budget_channels(rng, n):
         std = BasisPair.standard(m.shape[1], m.shape[1])
         s = (m @ m.conj().transpose(0, 2, 1)).sum(axis=0)
@@ -400,7 +417,7 @@ def choi_positivity_of_kraus_channels(rng, n):
     for _ in range(n):
         d = int(rng.integers(2, 4))
         ms = random_tp_kraus(d, int(rng.integers(1, 4)), rng)
-        v = check_cp(ms, Basis.standard(d))
+        v = check_cp(ms)
         oracle = psd_check(choi_of_map(HSMap.from_kraus(ms), Basis.standard(d)))
         yield -oracle.value
         yield abs(v.threshold - oracle.threshold) / -oracle.threshold
@@ -428,10 +445,13 @@ def _schmidt_pairs(rng, n):
 
 @register("entangle", 25, bound=1e-10)
 def schmidt_reconstruction(rng, n):
-    """alpha = sum_i lambda_i left_i (x) right_i."""
+    """alpha = sum_i lambda_i left_i (x) right_i, with orthonormal families
+    left_i and right_i."""
     for alpha, res in _schmidt_pairs(rng, n):
         rebuilt = sum(lam * np.kron(x, y) for lam, x, y in zip(res.lambdas, res.left.T, res.right.T))
         yield _dist(rebuilt, alpha)
+        for family in (res.left, res.right):
+            yield _dist(adjoint(family) @ family, np.eye(family.shape[1]))
 
 
 @register("entangle", 25, bound=1e-10)
@@ -477,11 +497,12 @@ def bench_method_agreement(rng, n):
         yield bench_mod.run_bench(cfg).max_deviation
 
 
-def run_suites(names: list[str], seed: int) -> list[tuple[str, str, Verdict]]:
-    """(suite, property, verdict) for every property of the named suites, in
-    order, each at its selftest size on a generator seeded with seed."""
+def run_suites(names: list[str], seed: int) -> list[tuple[str, str, str, Verdict]]:
+    """(suite, property, what its value is, verdict) for every property of the
+    named suites, in order, each at its selftest size on a generator seeded
+    with seed."""
     return [
-        (suite, fn.__name__.replace("_", "-"), fn(np.random.default_rng(seed), n))
+        (suite, fn.__name__.replace("_", "-"), value, fn(np.random.default_rng(seed), n))
         for suite in names
-        for fn, n in SUITES[suite]
+        for fn, n, value in SUITES[suite]
     ]

@@ -40,9 +40,9 @@ eigenvalues are those of the k x k Gram matrix V^* V (Watrous, The Theory of
 Quantum Information, ch. 2).  For k < d^2 the least eigenvalue of C is 0, and
 the largest, which sets the threshold, comes from the Gram matrix: O(k d^2)
 to form V, O(k^2 d^2) for V^* V and O(k^3) for its eigenvalues, with no
-d^4 array.  For k >= d^2 C is built and eigensolved.  Both paths end in
-``linalg.Verdict.psd``, which refuses a lambda_max that overflowed.  The d^4
-entry cap still applies, so a channel the Choi matrix could not hold is refused.
+d^4 array and no basis.  For k >= d^2 C is built and eigensolved, under the
+d^4 entry cap of ``choi_map``.  Both paths end in ``linalg.Verdict.psd``,
+which refuses a lambda_max that overflowed.
 
 hsdual.paper holds the paper's literal constructions, the oracles for these;
 its ``choi_of_map`` gives the Choi matrix of a map that is not a Kraus stack.
@@ -218,23 +218,23 @@ def compose(b1: SuperOp, b2: SuperOp) -> SuperOp:
     return SuperOp(b1.rmatrix @ b2.rmatrix, b1.bases)
 
 
-def check_cp(ms, basis: Basis) -> Verdict:
+def check_cp(ms) -> Verdict:
     """Complete positivity of a Kraus channel via the Choi criterion: the PSD
     rule ``Verdict.psd`` on the least eigenvalue of the Choi matrix C.
 
     C = V V^* is positive by construction, and its nonzero eigenvalues are
     those of the k x k Gram matrix V^* V.  So for k < d^2 the verdict is PASS
     with the structural least eigenvalue 0, and lambda_max is read off the
-    Gram matrix; C is never built.  The Gram matrix does not depend on the
-    basis (J is unitary), which only has to match the dimension.  For
-    k >= d^2 the Gram matrix is no smaller than C, so psd_check runs on C
-    itself.  Both paths refuse d^4 > MAX_KRON_ENTRIES.
+    Gram matrix; C is never built, and the Gram matrix has fewer entries than
+    the channel.  Neither depends on the basis (J is unitary), so none is
+    taken.  For k >= d^2 the Gram matrix is no smaller than C, so psd_check
+    runs on C in the standard basis, which choi_map refuses above
+    MAX_KRON_ENTRIES entries.
     """
-    m = _kraus(ms, basis, "Choi matrix")
+    m = _kraus(ms, what="Choi matrix")
     k, d, _ = m.shape
-    guard_entries(d**4, "Choi matrix")
     if k >= d * d:
-        return psd_check(choi_map(m, basis))
+        return psd_check(choi_map(m, Basis.standard(d)))
     w = m.reshape(k, d * d)
     return Verdict.psd(0.0, float(np.linalg.eigvalsh(w.conj() @ w.T)[-1]))
 
@@ -251,12 +251,13 @@ def tp_verdict(deviation: float) -> Verdict:
 
 
 def random_tp_kraus(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """Random trace-preserving Kraus stack: sum_i M_i M_i* == I by construction."""
+    """Random trace-preserving Kraus stack: M_i = (sum_j G_j G_j*)^(-1/2) G_i
+    for Gaussian G_i, taken as the k blocks of the polar factor U V^* of
+    [G_1 | ... | G_k] (one SVD), so sum_i M_i M_i* = U U^* = I to rounding at
+    every rank."""
     gs = [complex_gaussian(d, d, rng) for _ in range(rank)]
-    total = sum(g @ g.conj().T for g in gs)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return inv_sqrt @ np.stack(gs)
+    u, _, vh = np.linalg.svd(np.hstack(gs), full_matrices=False)
+    return np.stack(np.hsplit(u @ vh, rank))
 
 
 def tp_deviation(ms) -> float:

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-report.  Criteria 01-12 run properties of the catalogue in hsdual.selftest,
-which owns their bounds, at larger sizes than selftest and at several seeds.
+report.  Criteria 01-12 run every property of the catalogue in
+hsdual.selftest, which owns their bounds, at larger sizes than selftest and at
+several seeds.
 """
 
 import numpy as np
@@ -41,12 +42,17 @@ def test_criterion_03_conjugation_laws():
 
 
 def test_criterion_04_alternative_vectorization():
-    holds(34, catalogue.alternative_vectorization)
+    holds(
+        34,
+        catalogue.alternative_vectorization,
+        catalogue.operator_reconstruction_from_coefficients,
+        catalogue.basis_change_via_conjugation,
+    )
     report(4, "alternative vectorization agreements")
 
 
 def test_criterion_05_slice_identities():
-    holds(25, catalogue.slice_operators_and_alternative_devec)
+    holds(34, catalogue.slice_operators_and_alternative_devec)
     report(5, "slice identities and devec cross-oracle")
 
 
@@ -80,23 +86,26 @@ def test_criterion_09_choi_behavior():
         catalogue.choi_hs_isometry,
         catalogue.choi_non_multiplicative_exhibit,
         catalogue.choi_of_transpose_min_eigenvalue,
+        catalogue.choi_positivity_of_kraus_channels,
+        catalogue.choi_closed_form_vs_probe,
     )
     report(9, "Choi behavior")
 
 
 def test_criterion_10_kraus_dual_construction():
-    holds(50, catalogue.kraus_to_lift_dual_construction)
+    holds(50, catalogue.kraus_to_lift_dual_construction, catalogue.kraus_to_r_closed_form_random_basis)
     holds(3, catalogue.closed_form_trace_preservation)
     report(10, "Kraus-to-lift dual construction")
 
 
 def test_criterion_11_schmidt_suite():
     holds(
-        25,
+        34,
         catalogue.schmidt_reconstruction,
         catalogue.schmidt_norm_identity,
         catalogue.schmidt_rank_dichotomy,
         catalogue.schmidt_bell_lambdas,
+        catalogue.schmidt_unitary_invariance,
     )
     report(11, "Schmidt suite")
 

@@ -317,11 +317,13 @@ def test_check_golden_stdout(cli, tmp_path):
 
 
 def test_check_cp_of_low_rank_channel_prints_structural_zero(cli, tmp_path):
-    # k < d^2: the Choi matrix V V* has a null space, so its least eigenvalue is 0.
+    # k < d^2: the Choi matrix V V* has a null space, so its least eigenvalue
+    # is 0.  Only the k x k Gram matrix is built, so d runs up to HSDUAL_MAX_DIM.
     from hsdual.selftest import random_tp_kraus
 
-    path = write_channel(tmp_path / "c.json", random_tp_kraus(4, 2, np.random.default_rng(6)))
-    assert cli("check", path, "--cp")[:2] == (0, "cp: PASS (min eigenvalue = 0)\n")
+    for d, k in ((4, 2), (64, 1)):
+        path = write_channel(tmp_path / f"c{d}.json", random_tp_kraus(d, k, np.random.default_rng(6)))
+        assert cli("check", path, "--cp")[:2] == (0, "cp: PASS (min eigenvalue = 0)\n")
 
 
 def test_check_scaled_identity_fails_tp(cli, tmp_path):
@@ -403,9 +405,18 @@ def test_selftest_single_suite(cli):
     assert out.count("PASS") >= 5
 
 
+def test_selftest_names_what_each_value_is(cli):
+    # The PSD property reports a least eigenvalue held from below; every other
+    # property its worst deviation held from above.
+    code, out, _ = cli("selftest", "--suite", "superop", "--seed", "0")
+    psd = "superop.complete-positivity-block-psd: PASS (least eigenvalue = 8.678e-03, threshold = -7.9e-09)"
+    assert code == 0 and psd in out.splitlines()
+    assert [line for line in out.splitlines() if line != psd and "(max deviation = " not in line] == []
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_superop_choi_and_bench_suites_pass(seed):
-    failed = [(suite, prop) for suite, prop, v in run_suites(["superop", "choi", "bench-sanity"], seed) if not v.passed]
+    failed = [(suite, prop) for suite, prop, _, v in run_suites(["superop", "choi", "bench-sanity"], seed) if not v.passed]
     assert failed == []
 
 
@@ -513,12 +524,14 @@ def test_schmidt_64x64(cli, tmp_path):
 
 def test_superoperator_commands_capped_at_d33(cli, tmp_path):
     ch = write_channel(tmp_path / "d33.json", [np.eye(33)])
-    for argv in (("compose", ch), ("compose", ch, ch), ("choi", ch), ("check", ch, "--cp")):
+    for argv in (("compose", ch), ("compose", ch, ch), ("choi", ch)):
         code, out, err = cli(*argv)
         assert code == 3 and out == ""
         assert "would have 1185921 entries" in err
-    code, out, _ = cli("check", ch, "--tp")  # no superoperator is built
-    assert code == 0 and out.startswith("tp: PASS")
+    # No superoperator is built: the CP test of k = 1 < d^2 blocks reads the
+    # 1 x 1 Gram matrix.
+    assert cli("check", ch, "--tp")[:2] == (0, "tp: PASS (deviation = 0)\n")
+    assert cli("check", ch, "--cp")[:2] == (0, "cp: PASS (min eigenvalue = 0)\n")
 
 
 def test_compose_single_channel_is_its_r_matrix(cli, tmp_path):

@@ -58,7 +58,7 @@ PROCESS_CASES = {
     "compose-verify": (0, ("compose", "{ch}", "{ch2}", "--verify")),
     "schmidt": (0, ("schmidt", "{v}", "--d1", "2", "--d2", "3")),
     "malformed": (2, ("vec", "{bad}")),
-    "d33": (3, ("check", "{d33}", "--cp")),
+    "d33": (3, ("choi", "{d33}")),
     "help": (0, ("--help",)),
     "vec-help": (0, ("vec", "--help")),
     "usage": (2, ("vec",)),

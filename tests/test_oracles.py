@@ -5,13 +5,15 @@ The paper's constructions in hsdual.paper are oracles only: no production
 module imports hsdual.paper, and production builds Kronecker products only in
 the functions named below.  Each numeric bound is written in one place: a
 float literal below 1e-6 appears only where the table below puts it, and the
-acceptance criteria leave theirs to the property catalogue in hsdual.selftest.
+acceptance criteria leave theirs to the property catalogue in hsdual.selftest,
+every property of which they run.
 """
 
 import ast
 from pathlib import Path
 
 import hsdual
+from hsdual import selftest
 
 PACKAGE = Path(hsdual.__file__).resolve().parent
 
@@ -39,6 +41,10 @@ SMALL_LITERALS = sorted([
 ])
 
 PAPER_NAMES = {name for name, module in hsdual._EXPORTS.items() if module == "paper"}
+
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+# Criterion 13 holds the CLI's own bounds, which are not catalogue properties.
+CLI_CRITERION = "test_acceptance.test_criterion_13_cli_golden"
 
 
 def parse(module):
@@ -111,7 +117,18 @@ def test_production_writes_each_bound_once():
 
 
 def test_acceptance_criteria_leave_bounds_to_the_catalogue():
-    # Criterion 13 holds the CLI's own bounds, which are not catalogue properties.
-    tree = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
-    found = small_literals(tree, "test_acceptance")
-    assert [pair for pair in found if pair[0] != "test_acceptance.test_criterion_13_cli_golden"] == []
+    found = small_literals(ast.parse(ACCEPTANCE.read_text()), "test_acceptance")
+    assert [pair for pair in found if pair[0] != CLI_CRITERION] == []
+
+
+def test_acceptance_criteria_run_the_whole_catalogue():
+    run = {
+        node.attr
+        for scope, node in scoped_nodes(ast.parse(ACCEPTANCE.read_text()), "test_acceptance")
+        if scope.startswith("test_acceptance.test_criterion_")
+        and scope != CLI_CRITERION
+        and isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "catalogue"
+    }
+    assert run == {prop.__name__ for props in selftest.SUITES.values() for prop, *_ in props}
