@@ -14,8 +14,8 @@ probing matrix units, where production runs a closed form or a reshape:
 * ``lift_r``: the R isomorphism vec . B . devec, probed on the matrix units
   |psi_i><phi_j| (its inverse is ``superop.lower_s``);
 * ``choi_of_map``: Choi's matrix sum_{i,j} |phi_i><phi_j| (x) B(|phi_i><phi_j|),
-  probed on the matrix units (production: ``superop.choi_map``, C = V V^* of
-  a Kraus stack);
+  probed on the matrix units in any basis (production: ``superop.choi_map``,
+  C = V V^* of a Kraus stack in the standard basis);
 * ``choi_of_vector``: (I (x) A) applied to phi_plus, which equals vec_t(A).
 
 This module is the oracle the tests and ``selftest`` compare the closed forms

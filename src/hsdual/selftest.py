@@ -426,12 +426,11 @@ def choi_positivity_of_kraus_channels(rng, n):
 
 @register("choi", 10, bound=1e-10)
 def choi_closed_form_vs_probe(rng, n):
-    """choi_map = choi_of_map, in the standard and a random basis."""
+    """choi_map = choi_of_map in the standard basis."""
     for _ in range(n):
         d = int(rng.integers(1, 6))
         ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
-        for b in (Basis.standard(d), Basis(random_unitary_from(d, rng))):
-            yield _dist(choi_map(ms, b), choi_of_map(HSMap.from_kraus(ms), b))
+        yield _dist(choi_map(ms), choi_of_map(HSMap.from_kraus(ms), Basis.standard(d)))
 
 
 def _schmidt_pairs(rng, n):

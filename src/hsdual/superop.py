@@ -26,13 +26,13 @@ blocks.  ``tp_deviation`` is one batched product and a sum.
 
 Each conversion from a Kraus stack has one closed-form production path, an
 index rearrangement of the stacked blocks (Wood, Biamonte and Cory,
-arXiv:1111.6950, sec. 3).  With J = U U^T for the basis U (J = I for the
-standard basis), both cost O(k d^4) for k blocks of size d:
+arXiv:1111.6950, sec. 3).  Both cost O(k d^4) for k blocks of size d:
 
 * Kraus -> R (``kraus_to_r_kron``, behind ``SuperOp.from_kraus``):
-  R = sum_k (J M_k^T conj(J)) (x) M_k^*, one batched product;
-* Kraus -> Choi (``choi_map``): C = V V^*, where column k of the d^2 x k
-  matrix V is the row-major flattening of J conj(M_k).
+  R = sum_k (J M_k^T conj(J)) (x) M_k^*, one batched product, with J = U U^T
+  for the basis U (J = I for the standard basis);
+* Kraus -> Choi (``choi_map``), in the standard basis: C = V V^*, where
+  column k of the d^2 x k matrix V is the row-major flattening of conj(M_k).
 
 Complete positivity of a Kraus channel (``check_cp``) is certified without
 the Choi matrix.  C = V V^* is positive by construction, and its nonzero
@@ -184,22 +184,20 @@ def kraus_to_r_kron(ms, basis: Basis | None = None) -> np.ndarray:
     return r.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def choi_map(ms, basis: Basis, normalize: bool = False) -> np.ndarray:
-    """Choi matrix sum_{i,j} |phi_i><phi_j| (x) B(|phi_i><phi_j|) of a Kraus
-    channel, in closed form: C = V V^*, where column k of V is the row-major
-    flattening of J conj(M_k), J = U U^T.  One d^2 x k x d^2 product.
+def choi_map(ms, *, normalize: bool = False) -> np.ndarray:
+    """Choi matrix sum_{i,j} |e_i><e_j| (x) B(|e_i><e_j|) of a Kraus channel
+    in the standard basis, in closed form: C = V V^*, where column k of V is
+    the row-major flattening of conj(M_k).  One d^2 x k x d^2 product.
 
-    The reference vector sum_j phi_j (x) phi_j is kept unnormalized unless
+    The reference vector sum_j e_j (x) e_j is kept unnormalized unless
     ``normalize`` is set, which divides the result by the dimension.
-    hsdual.paper.choi_of_map probes the matrix units instead, the oracle.
+    hsdual.paper.choi_of_map probes the matrix units instead, the oracle; it
+    also gives the Choi matrix in any other basis.
     """
-    m = _kraus(ms, basis, "Choi matrix")
+    m = _kraus(ms, what="Choi matrix")
     k, d, _ = m.shape
     guard_entries(d**4, "Choi matrix")
-    w = m.conj()
-    if not basis.is_standard:
-        w = basis.conjugation @ w
-    w = w.reshape(k, d * d)
+    w = m.conj().reshape(k, d * d)
     c = w.T @ w.conj()
     if normalize:
         c /= d
@@ -228,13 +226,12 @@ def check_cp(ms) -> Verdict:
     Gram matrix; C is never built, and the Gram matrix has fewer entries than
     the channel.  Neither depends on the basis (J is unitary), so none is
     taken.  For k >= d^2 the Gram matrix is no smaller than C, so psd_check
-    runs on C in the standard basis, which choi_map refuses above
-    MAX_KRON_ENTRIES entries.
+    runs on C, which choi_map refuses above MAX_KRON_ENTRIES entries.
     """
     m = _kraus(ms, what="Choi matrix")
     k, d, _ = m.shape
     if k >= d * d:
-        return psd_check(choi_map(m, Basis.standard(d)))
+        return psd_check(choi_map(m))
     w = m.reshape(k, d * d)
     return Verdict.psd(0.0, float(np.linalg.eigvalsh(w.conj() @ w.T)[-1]))
 

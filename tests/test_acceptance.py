@@ -140,13 +140,15 @@ def test_criterion_13_cli_golden(cli, tmp_path):
 
     # choi of the identity channel and the --normalize contract.
     ch = write_channel(tmp_path / "id.json", [np.eye(2)])
-    _, choi_out, _ = cli("choi", ch)
+    code, choi_out, _ = cli("choi", ch)
+    assert code == 0
     got = parse_matrix(choi_out)
     corner = np.zeros((4, 4))
     for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
         corner[i, j] = 1
     assert np.array_equal(got, corner)
-    _, choi_norm, _ = cli("choi", ch, "--normalize")
+    code, choi_norm, _ = cli("choi", ch, "--normalize")
+    assert code == 0
     assert np.array_equal(parse_matrix(choi_norm) * 2, got)
 
     # check subcommand exit-code contract.
@@ -161,7 +163,7 @@ def test_criterion_13_cli_golden(cli, tmp_path):
     x2 = write_channel(tmp_path / "x2.json", [X])
     code, out, err = cli("compose", x1, x2, "--verify")
     assert code == 0
-    assert np.abs(parse_matrix(out) - np.eye(4)).max() <= 1e-12
+    assert np.abs(parse_matrix(out) - np.eye(4)).max() < 1e-12
     assert float(err.split("=")[1]) <= 1e-8
 
     # schmidt report for product / Bell / zero vectors.

@@ -3,7 +3,8 @@ only the ones a test runs.
 
 The paper's constructions in hsdual.paper are oracles only: no production
 module imports hsdual.paper, and production builds Kronecker products only in
-the functions named below.  Each numeric bound is written in one place: a
+the functions named below, and reads the environment only in the functions
+ENV_READERS names.  Each numeric bound is written in one place: a
 float literal below 1e-6 appears only where the table below puts it, and the
 acceptance criteria leave theirs to the property catalogue in hsdual.selftest,
 every property of which they run.
@@ -26,6 +27,10 @@ KRON_CALLERS = {
 }
 # The guarded wrapper itself, whose body is the one np.kron call it wraps.
 KRON_WRAPPER = "linalg.kron"
+
+# Production functions allowed to read an environment variable, by
+# module-qualified name.  A limit or a mode is a constant or a flag instead.
+ENV_READERS = set()
 
 # Every float literal below 1e-6 in production, by module-qualified scope
 # (the module itself for a module-level literal).
@@ -89,6 +94,17 @@ def kron_callers(tree, module):
     return found
 
 
+def env_readers(tree, module):
+    """Module-qualified name of the function around each use of os.environ
+    or os.getenv, however imported."""
+    found = []
+    for scope, node in scoped_nodes(tree, module):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in ("environ", "getenv"):
+            found.append(scope)
+    return found
+
+
 def small_literals(tree, module):
     """(scope, value) of each float literal in tree below 1e-6, zero aside."""
     return [
@@ -109,6 +125,11 @@ def test_production_calls_kron_only_where_listed():
     assert [scope for scope in callers if scope not in KRON_CALLERS | {KRON_WRAPPER}] == []
     # The list names no function that has stopped calling kron.
     assert KRON_CALLERS | {KRON_WRAPPER} == set(callers)
+
+
+def test_production_reads_the_environment_only_where_listed():
+    readers = {scope for module in PRODUCTION for scope in env_readers(parse(module), module)}
+    assert readers == ENV_READERS
 
 
 def test_production_writes_each_bound_once():

@@ -189,16 +189,18 @@ GRAM_CP_CASES = sorted({(d, k) for d in (1, 2, 3, 5, 8) for k in (1, 2, d * d - 
 
 @pytest.mark.parametrize("d,k", GRAM_CP_CASES)
 def test_gram_cp_verdict_matches_choi_eigensolve(d, k):
-    # Oracle: psd_check of the built Choi matrix, in any basis.  A stack of
-    # plain Gaussian blocks is CP but not TP; the scales probe over- and
-    # underflow margins.
+    # Oracle: psd_check of the built Choi matrix, in any basis: choi_map's in
+    # the standard basis, the probe's in a random one.  A stack of plain
+    # Gaussian blocks is CP but not TP; the scales probe over- and underflow
+    # margins.
     rng = np.random.default_rng(100 * d + k)
     stack = np.stack([complex_gaussian(d, d, rng) for _ in range(k)])
     for scale in (1.0, 1e100, 1e-100):
         ms = scale * stack
         v = check_cp(ms)
         for basis in (Basis.standard(d), Basis.random(d, 100 * d + k)):
-            oracle = psd_check(choi_map(ms, basis))
+            c = choi_map(ms) if basis.is_standard else choi_of_map(HSMap.from_kraus(ms), basis)
+            oracle = psd_check(c)
             assert v.passed == oracle.passed
             assert abs(v.threshold - oracle.threshold) <= 1e-12 * abs(oracle.threshold)
             if k < d * d:
@@ -278,7 +280,7 @@ def test_choi_matches_entangled_state_form_for_kraus():
     expected = sum(
         kron(np.eye(d), m.conj().T) @ proj @ kron(np.eye(d), m) for m in ms
     )
-    got = choi_map(ms, basis)
+    got = choi_map(ms)
     assert np.abs(got - expected).max() < 1e-12
 
 
@@ -287,8 +289,8 @@ def test_choi_normalize_flag():
     cn = choi_of_map(HSMap.identity(2, 2), Basis.standard(2), normalize=True)
     assert np.abs(cn - c / 2).max() == 0
     # The identity channel in closed form gives the same two matrices.
-    assert np.array_equal(choi_map([np.eye(2)], Basis.standard(2)), c)
-    assert np.array_equal(choi_map([np.eye(2)], Basis.standard(2), normalize=True), cn)
+    assert np.array_equal(choi_map([np.eye(2)]), c)
+    assert np.array_equal(choi_map([np.eye(2)], normalize=True), cn)
 
 
 def test_choi_requires_square():
@@ -365,13 +367,12 @@ def test_closed_form_r_matches_oracles(d, k):
 
 @pytest.mark.parametrize("d,k", CLOSED_FORM_CASES)
 def test_closed_form_choi_matches_probe(d, k):
-    ms, bases = _kraus_and_bases(d, k, 200 * d + k)
-    for basis in bases:
-        for normalize in (False, True):
-            c = choi_map(ms, basis, normalize=normalize)
-            probe = choi_of_map(HSMap.from_kraus(ms), basis, normalize=normalize)
-            assert np.abs(c - probe).max() <= 1e-12 * (1 + np.abs(probe).max())
-            assert np.array_equal(c, choi_map(ms, basis) / (d if normalize else 1))
+    ms, _ = _kraus_and_bases(d, k, 200 * d + k)
+    for normalize in (False, True):
+        c = choi_map(ms, normalize=normalize)
+        probe = choi_of_map(HSMap.from_kraus(ms), Basis.standard(d), normalize=normalize)
+        assert np.abs(c - probe).max() <= 1e-12 * (1 + np.abs(probe).max())
+        assert np.array_equal(c, choi_map(ms) / (d if normalize else 1))
 
 
 def test_closed_form_choi_is_reshuffled_r():
@@ -381,7 +382,7 @@ def test_closed_form_choi_is_reshuffled_r():
     ms = random_tp_kraus(d, 3, rng)
     r = kraus_to_r_kron(ms)
     reshuffled = r.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-    assert np.abs(choi_map(ms, Basis.standard(d)) - reshuffled).max() < 1e-14
+    assert np.abs(choi_map(ms) - reshuffled).max() < 1e-14
 
 
 def test_superoperator_cap_refuses_d33():
@@ -391,7 +392,7 @@ def test_superoperator_cap_refuses_d33():
     with pytest.raises(DimensionMismatchError, match="R-matrix would have"):
         SuperOp.from_kraus(ms, Basis.standard(d))
     with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
-        choi_map(ms, Basis.standard(d))
+        choi_map(ms)
     with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
         check_cp(np.broadcast_to(ms[0], (d * d, d, d)))  # k = d^2: the Choi matrix is built
     assert check_cp(ms).passed  # k = 1: only the 1 x 1 Gram matrix is
@@ -409,8 +410,14 @@ def test_lift_r_refuses_before_probing():
 def test_closed_forms_reject_basis_of_other_dimension():
     with pytest.raises(DimensionMismatchError):
         kraus_to_r_kron([np.eye(2)], Basis.standard(3))
-    with pytest.raises(DimensionMismatchError):
-        choi_map([np.eye(2)], Basis.standard(3))
+
+
+def test_choi_map_takes_no_basis_and_normalize_only_by_keyword():
+    # A positional second argument, whether a basis or a flag, is refused
+    # rather than read as normalize.
+    for second in (Basis.standard(2), True):
+        with pytest.raises(TypeError):
+            choi_map([np.eye(2)], second)
 
 
 def test_kraus_list_tuple_and_stack_give_identical_results():
@@ -424,7 +431,7 @@ def test_kraus_list_tuple_and_stack_give_identical_results():
             kraus_apply(channel, a),
             tp_deviation(channel),
             SuperOp.from_kraus(channel, basis).rmatrix,
-            choi_map(channel, basis),
+            choi_map(channel),
             check_cp(channel),
         )
 
@@ -453,7 +460,7 @@ def test_kraus_validator_refuses_malformed_channels(name):
         lambda: kraus_apply(ms, np.eye(2)),
         lambda: tp_deviation(ms),
         lambda: SuperOp.from_kraus(ms, basis),
-        lambda: choi_map(ms, basis),
+        lambda: choi_map(ms),
         lambda: check_cp(ms),
         lambda: HSMap.from_kraus(ms),
     )
