@@ -56,8 +56,9 @@ def phi_plus(basis: Basis) -> np.ndarray:
 def devec_via_slices(alpha, bases: BasisPair) -> np.ndarray:
     """Devectorize through the slice operators: sum_j |P_j alpha><phi_j|.
 
-    Independent construction; agrees with devec_jstar and serves as its
-    cross-oracle in the tests.
+    Kron-free: each P_j is the closed form of partial_slice.  The tests check
+    it against devec_jstar, which still builds kron(U1, U2), so the two
+    constructions are independent.
     """
     alpha = _check_bipartite(alpha, bases)
     out = np.zeros((bases.d2, bases.d1), dtype=complex)

@@ -8,10 +8,11 @@ vectorization of A is exactly column-stacking of A.
 
 With standard bases vec_j, devec_jstar and partial_slice are reshapes of the
 data and allocate nothing of size (d1*d2)^2.  In other bases vec_j is the
-closed form (J1 A^T) flattened, J1 = U1 U1^T, which does not depend on the H2
-basis.  Only devec_jstar and partial_slice build kron(U1, U2), one (d1*d2)^2
-complex array bounded by MAX_KRON_ENTRIES (d1*d2 <= 1024, 16 MiB at the cap),
-and apply its adjoint in place: only vectors are conjugated, never the matrix.
+closed form (J1 A^T) flattened, J1 = U1 U1^T, and partial_slice the product
+conj(U1[:, i])^T alpha.reshape(d1, d2); neither depends on the H2 basis.
+Only devec_jstar builds kron(U1, U2), one (d1*d2)^2 complex array bounded by
+MAX_KRON_ENTRIES (d1*d2 <= 1024, 16 MiB at the cap), and applies its adjoint
+in place: only vectors are conjugated, never the matrix.
 hsdual.paper holds the paper's literal constructions, the oracles for these.
 """
 
@@ -146,15 +147,6 @@ def conjugate_in_basis(basis: Basis, phi) -> np.ndarray:
     return basis.u @ np.conj(basis.u.conj().T @ phi)
 
 
-def _product_coefficients(alpha: np.ndarray, bases: BasisPair) -> np.ndarray:
-    """beta = (U1 (x) U2)* alpha: beta[j*d2 + i] = <phi_j (x) psi_i, alpha>.
-
-    conj(W^T conj(alpha)) equals W* alpha entry for entry, so the Kronecker
-    matrix W is the only (d1*d2)^2 array; no conjugated copy of it is made.
-    """
-    return np.conj(kron(bases.b1.u, bases.b2.u).T @ np.conj(alpha))
-
-
 def vec_j(a, bases: BasisPair) -> np.ndarray:
     """Vectorize an operator: sum_{i,j} <psi_i, A phi_j> phi_j (x) psi_i.
 
@@ -174,21 +166,28 @@ def devec_jstar(alpha, bases: BasisPair) -> np.ndarray:
     d1, d2 = bases.d1, bases.d2
     if _standard(bases):
         return alpha.reshape(d1, d2).T.copy()
-    beta = _product_coefficients(alpha, bases)
+    # beta = (U1 (x) U2)* alpha, beta[j*d2 + i] = <phi_j (x) psi_i, alpha>.
+    # conj(W^T conj(alpha)) equals W* alpha entry for entry, so the Kronecker
+    # matrix W is the only (d1*d2)^2 array; no conjugated copy of it is made.
+    beta = np.conj(kron(bases.b1.u, bases.b2.u).T @ np.conj(alpha))
     coeff = beta.reshape(d1, d2).T  # coeff[i, j] = <phi_j (x) psi_i, alpha>
     return bases.b2.u @ coeff @ bases.b1.u.conj().T
 
 
 def partial_slice(i: int, alpha, bases: BasisPair) -> np.ndarray:
-    """H2-component of alpha in direction phi_i: sum_j <phi_i (x) psi_j, alpha> psi_j."""
+    """H2-component of alpha in direction phi_i: sum_j <phi_i (x) psi_j, alpha> psi_j.
+
+    Summing over j gives sum_j psi_j psi_j^* = I, so the H2 basis cancels and
+    the slice is conj(U1[:, i])^T alpha.reshape(d1, d2): an O(d1*d2) product
+    that builds no (d1*d2)^2 array.
+    """
     alpha = _check_bipartite(alpha, bases)
     if not 0 <= i < bases.d1:
         raise IndexError(f"partial_slice: index {i} out of range for d1={bases.d1}")
     d2 = bases.d2
     if _standard(bases):
         return alpha[i * d2 : (i + 1) * d2].copy()
-    beta = _product_coefficients(alpha, bases)
-    return bases.b2.u @ beta[i * d2 : (i + 1) * d2]
+    return bases.b1.u[:, i].conj() @ alpha.reshape(bases.d1, d2)
 
 
 def partial_slice_adjoint(i: int, beta, bases: BasisPair) -> np.ndarray:

@@ -23,7 +23,7 @@ PRODUCTION = ("cli", "io", "linalg", "vectorize", "superop", "entangle", "bench"
 
 # Production functions allowed to call kron, by module-qualified name.
 KRON_CALLERS = {
-    "vectorize._product_coefficients",  # the basis change of devec_jstar and partial_slice
+    "vectorize.devec_jstar",  # its basis change, the one (d1*d2)^2 array left
 }
 # The guarded wrapper itself, whose body is the one np.kron call it wraps.
 KRON_WRAPPER = "linalg.kron"

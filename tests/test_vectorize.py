@@ -233,8 +233,9 @@ def test_basis_changes_match_kron_formulas(d1, d2):
 
 
 @pytest.mark.parametrize("d1,d2", [(40, 40), (64, 24), (64, 64)])
-def test_vec_j_closed_form_beyond_the_old_kron_cap(d1, d2):
-    # d1*d2 > 1024: kron(U1, U2) would be refused here, the closed form J1 A^T is not.
+def test_closed_forms_beyond_the_old_kron_cap(d1, d2):
+    # d1*d2 > 1024: kron(U1, U2) would be refused here, the closed forms
+    # J1 A^T and conj(U1[:, i])^T alpha.reshape(d1, d2) are not.
     bases = rand_pair(d1, d2, d1 + 3 * d2)
     a = complex_gaussian(d2, d1, np.random.default_rng(d1 * d2))
     v = vec_j(a, bases)
@@ -242,6 +243,14 @@ def test_vec_j_closed_form_beyond_the_old_kron_cap(d1, d2):
     # The paper's H2-independence: another H2 basis gives the same vector.
     other = BasisPair(bases.b1, Basis.random(d2, d1 + 3 * d2 + 1))
     assert np.abs(vec_j(a, other) - v).max() < 1e-13
+    # Slices against <phi_i (x) psi_j, alpha> summed over psi_j in plain numpy.
+    alpha = complex_gaussian(d1 * d2, 1, np.random.default_rng(d1 * d2 + 1))[:, 0]
+    u1, u2 = bases.b1.u, bases.b2.u
+    coeff = u1.conj().T @ alpha.reshape(d1, d2) @ u2.conj()
+    for i in range(d1):
+        s = partial_slice(i, alpha, bases)
+        assert np.abs(s - u2 @ coeff[i]).max() < 1e-13
+        assert np.array_equal(partial_slice(i, alpha, other), s)
 
 
 def test_basis_conjugation_matrix():
