@@ -120,14 +120,13 @@ def cmd_compose(args) -> int:
         # more than the check itself.
         gauss = random.Random(0).gauss
         sigma = 0.5**0.5
-        bases = BasisPair(basis, basis)
         deviation = 0.0
         for _ in range(10):
             state = np.array([gauss(0.0, sigma) for _ in range(2 * d * d)]).view(complex).reshape(d, d)
             nested = state
             for ms in channels:
                 nested = kraus_apply(ms, nested)
-            via_r = devec_jstar(total.rmatrix @ vec_j(state, bases), bases)
+            via_r = total.as_hsmap()(state)
             deviation = max(deviation, float(np.abs(via_r - nested).max()))
         print(f"verify: max deviation = {deviation:.3e}", file=sys.stderr)
     return EXIT_OK

@@ -44,7 +44,7 @@ def vec_t(a, b1: Basis) -> np.ndarray:
     d2 = a.shape[0]
     out = np.zeros(b1.dim * d2, dtype=complex)
     for j in range(b1.dim):
-        out += np.kron(b1.column(j), a @ b1.column(j))
+        out += np.kron(b1.u[:, j], a @ b1.u[:, j])
     return out
 
 
@@ -63,7 +63,7 @@ def devec_via_slices(alpha, bases: BasisPair) -> np.ndarray:
     alpha = _check_bipartite(alpha, bases)
     out = np.zeros((bases.d2, bases.d1), dtype=complex)
     for j in range(bases.d1):
-        out += np.outer(partial_slice(j, alpha, bases), np.conj(bases.b1.column(j)))
+        out += np.outer(partial_slice(j, alpha, bases), np.conj(bases.b1.u[:, j]))
     return out
 
 
@@ -81,7 +81,7 @@ def lift_r(b: HSMap, bases: BasisPair) -> np.ndarray:
     probes = np.zeros((n, n), dtype=complex)
     for j in range(d1):
         for i in range(d2):
-            unit = np.outer(bases.b2.column(i), np.conj(bases.b1.column(j)))
+            unit = np.outer(bases.b2.u[:, i], np.conj(bases.b1.u[:, j]))
             probes[:, j * d2 + i] = vec_j(b(unit), bases)
     if bases.b1.is_standard and bases.b2.is_standard:
         return probes
@@ -104,7 +104,7 @@ def choi_of_map(b: HSMap, basis: Basis, normalize: bool = False) -> np.ndarray:
     out = np.zeros((n, n), dtype=complex)
     for i in range(d):
         for j in range(d):
-            unit = np.outer(basis.column(i), np.conj(basis.column(j)))
+            unit = np.outer(basis.u[:, i], np.conj(basis.u[:, j]))
             out += kron(unit, b(unit))
     if normalize:
         out /= d

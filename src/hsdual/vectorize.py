@@ -6,13 +6,13 @@ flat-index convention: the component of phi (x) psi at index j*d2 + i equals
 phi[j] * psi[i] (first factor index-major), so with standard bases the
 vectorization of A is exactly column-stacking of A.
 
-With standard bases vec_j, devec_jstar and partial_slice are reshapes of the
-data and allocate nothing of size (d1*d2)^2.  In other bases vec_j is the
-closed form (J1 A^T) flattened, J1 = U1 U1^T, and partial_slice the product
-conj(U1[:, i])^T alpha.reshape(d1, d2); neither depends on the H2 basis.
-Only devec_jstar builds kron(U1, U2), one (d1*d2)^2 complex array bounded by
-MAX_KRON_ENTRIES (d1*d2 <= 1024, 16 MiB at the cap), and applies its adjoint
-in place: only vectors are conjugated, never the matrix.
+The paper's vectorization sum_j phi_j (x) A phi_j needs only the H1 basis,
+so vec_j, partial_slice, partial_slice_adjoint and conjugate_in_basis read
+only U1 and J1 = U1 U1^T: in a standard H1 basis vec_j and partial_slice are
+reshapes, in another vec_j is (J1 A^T) flattened and partial_slice
+conj(U1[:, i])^T alpha.reshape(d1, d2).  Only devec_jstar reads U2: it builds
+kron(U1, U2), one (d1*d2)^2 array bounded by MAX_KRON_ENTRIES (d1*d2 <= 1024),
+and applies its adjoint in place, conjugating only vectors.
 hsdual.paper holds the paper's literal constructions, the oracles for these.
 """
 
@@ -36,16 +36,17 @@ from .linalg import (
 class Basis:
     """Orthonormal basis of C^d: a unitary whose columns are the basis vectors.
 
-    ``u`` is read-only and treated as immutable: ``is_standard`` and
-    ``conjugation`` are computed once per basis.
+    ``u`` is a private read-only copy, so ``is_standard`` and ``conjugation``,
+    computed once per basis, cannot go stale.
     """
 
     def __init__(self, u):
-        u = as_matrix(u)
+        u = as_matrix(u).copy()
         if u.shape[0] != u.shape[1]:
             raise DimensionMismatchError("Basis: matrix must be square")
         if unitary_defect(u) > 1e-10:
             raise ValueError("Basis: columns are not orthonormal within 1e-10")
+        u.flags.writeable = False
         vars(self)["u"] = u
 
     def __setattr__(self, name, value=None):
@@ -59,9 +60,6 @@ class Basis:
     @property
     def dim(self) -> int:
         return self.u.shape[0]
-
-    def column(self, i: int) -> np.ndarray:
-        return self.u[:, i].copy()
 
     @cached_property
     def is_standard(self) -> bool:
@@ -96,7 +94,8 @@ class Basis:
 
 
 class BasisPair(NamedTuple):
-    """Bases for the two factors: b1 for H1 (dimension d1), b2 for H2 (d2)."""
+    """Bases for the two factors: b1 for H1 (dimension d1), b2 for H2 (d2).
+    Production reads b2 only for d2, devec_jstar's kron and compose's check."""
 
     b1: Basis
     b2: Basis
@@ -132,10 +131,6 @@ def _check_bipartite(alpha, bases: BasisPair) -> np.ndarray:
     return alpha
 
 
-def _standard(bases: BasisPair) -> bool:
-    return bases.b1.is_standard and bases.b2.is_standard
-
-
 def conjugate_in_basis(basis: Basis, phi) -> np.ndarray:
     """Antilinear conjugation fixing the basis columns: sum_i <phi, u_i> u_i.
 
@@ -144,7 +139,7 @@ def conjugate_in_basis(basis: Basis, phi) -> np.ndarray:
     phi = as_vector(phi)
     if phi.shape[0] != basis.dim:
         raise DimensionMismatchError("conjugate_in_basis: vector/basis dimension mismatch")
-    return basis.u @ np.conj(basis.u.conj().T @ phi)
+    return basis.conjugation @ np.conj(phi)
 
 
 def vec_j(a, bases: BasisPair) -> np.ndarray:
@@ -152,10 +147,10 @@ def vec_j(a, bases: BasisPair) -> np.ndarray:
 
     Summing over i leaves sum_j phi_j (x) A phi_j, which is (J1 A^T) flattened
     with J1 = U1 U1^T: the H2 basis cancels and no (d1*d2)^2 array is built.
-    With standard bases this is column-stacking of the matrix of A.
+    With a standard H1 basis this is column-stacking of the matrix of A.
     """
     a = _check_operator(a, bases)
-    if _standard(bases):
+    if bases.b1.is_standard:
         return a.flatten(order="F")  # column-stack: index j*d2 + i
     return (bases.b1.conjugation @ a.T).reshape(-1)
 
@@ -164,7 +159,8 @@ def devec_jstar(alpha, bases: BasisPair) -> np.ndarray:
     """Inverse of vec_j: sum <phi_j (x) psi_i, alpha> |psi_i><phi_j|."""
     alpha = _check_bipartite(alpha, bases)
     d1, d2 = bases.d1, bases.d2
-    if _standard(bases):
+    # The one basis change that still reads U2: its kron takes both bases.
+    if bases.b1.is_standard and bases.b2.is_standard:
         return alpha.reshape(d1, d2).T.copy()
     # beta = (U1 (x) U2)* alpha, beta[j*d2 + i] = <phi_j (x) psi_i, alpha>.
     # conj(W^T conj(alpha)) equals W* alpha entry for entry, so the Kronecker
@@ -185,7 +181,7 @@ def partial_slice(i: int, alpha, bases: BasisPair) -> np.ndarray:
     if not 0 <= i < bases.d1:
         raise IndexError(f"partial_slice: index {i} out of range for d1={bases.d1}")
     d2 = bases.d2
-    if _standard(bases):
+    if bases.b1.is_standard:
         return alpha[i * d2 : (i + 1) * d2].copy()
     return bases.b1.u[:, i].conj() @ alpha.reshape(bases.d1, d2)
 
@@ -197,5 +193,5 @@ def partial_slice_adjoint(i: int, beta, bases: BasisPair) -> np.ndarray:
         raise DimensionMismatchError("partial_slice_adjoint: vector dimension mismatch")
     if not 0 <= i < bases.d1:
         raise IndexError(f"partial_slice_adjoint: index {i} out of range for d1={bases.d1}")
-    return np.outer(bases.b1.column(i), beta).reshape(-1)
+    return np.outer(bases.b1.u[:, i], beta).reshape(-1)
 

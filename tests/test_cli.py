@@ -12,7 +12,7 @@ from conftest import FAULT_FILES, write_channel, write_matrix
 
 import hsdual.cli
 from hsdual.io import format_matrix, parse_matrix
-from hsdual.linalg import random_unitary
+from hsdual.linalg import complex_gaussian, random_unitary
 from hsdual.selftest import SUITES
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -86,6 +86,18 @@ def test_vec_with_basis_files(cli, tmp_path):
 
     expected = vec_j(np.array([[1.0, 2.0], [3.0, 4.0]]), BasisPair(Basis(u), Basis(v)))
     assert np.abs(parse_matrix(out)[:, 0] - expected).max() < 1e-12
+
+
+def test_vec_output_does_not_depend_on_the_h2_basis(cli, tmp_path):
+    # sum_j phi_j (x) A phi_j needs only the H1 basis: --basis-h2 is read and
+    # checked, but cannot change a byte of vec's output.
+    mpath = write_matrix(tmp_path / "a.json", complex_gaussian(3, 4, np.random.default_rng(7)))
+    b1 = write_matrix(tmp_path / "b1.json", random_unitary(4, 5))
+    b2 = write_matrix(tmp_path / "b2.json", random_unitary(3, 6))
+    for h1 in ((), ("--basis-h1", b1)):
+        code, out, err = cli("vec", mpath, *h1)
+        assert code == 0 and err == ""
+        assert cli("vec", mpath, *h1, "--basis-h2", b2) == (code, out, err)
 
 
 def test_basis_files_cap_devec_not_vec_at_d1_d2_1024(cli, tmp_path):

@@ -3,8 +3,9 @@ only the ones a test runs.
 
 The paper's constructions in hsdual.paper are oracles only: no production
 module imports hsdual.paper, and production builds Kronecker products only in
-the functions named below, and reads the environment only in the functions
-ENV_READERS names.  Each numeric bound is written in one place: a
+the functions named below, reads a BasisPair's H2 basis only in the functions
+H2_READERS names, and reads the environment only in the functions ENV_READERS
+names.  Each numeric bound is written in one place: a
 float literal below 1e-6 appears only where the table below puts it, and the
 acceptance criteria leave theirs to the property catalogue in hsdual.selftest,
 every property of which they run.
@@ -27,6 +28,13 @@ KRON_CALLERS = {
 }
 # The guarded wrapper itself, whose body is the one np.kron call it wraps.
 KRON_WRAPPER = "linalg.kron"
+
+# Production functions allowed to read the H2 basis, the attribute b2 of a
+# BasisPair, by module-qualified name.  The H2 basis cancels from every map,
+# so production reads it only for d2, for devec_jstar's kron and for compose's
+# check that two superoperators share their bases.  When that kron goes,
+# devec_jstar leaves this set and KRON_CALLERS together.
+H2_READERS = {"vectorize.BasisPair.d2", "vectorize.devec_jstar", "superop.compose"}
 
 # Production functions allowed to read an environment variable, by
 # module-qualified name.  A limit or a mode is a constant or a flag instead.
@@ -94,6 +102,15 @@ def kron_callers(tree, module):
     return found
 
 
+def h2_readers(tree, module):
+    """Module-qualified name of the function around each read of an attribute b2."""
+    return [
+        scope
+        for scope, node in scoped_nodes(tree, module)
+        if isinstance(node, ast.Attribute) and node.attr == "b2"
+    ]
+
+
 def env_readers(tree, module):
     """Module-qualified name of the function around each use of os.environ
     or os.getenv, however imported."""
@@ -125,6 +142,12 @@ def test_production_calls_kron_only_where_listed():
     assert [scope for scope in callers if scope not in KRON_CALLERS | {KRON_WRAPPER}] == []
     # The list names no function that has stopped calling kron.
     assert KRON_CALLERS | {KRON_WRAPPER} == set(callers)
+
+
+def test_production_reads_the_h2_basis_only_where_listed():
+    readers = {scope for module in PRODUCTION for scope in h2_readers(parse(module), module)}
+    # Equality: no read outside the set, and no name in it that has stopped reading.
+    assert readers == H2_READERS
 
 
 def test_production_reads_the_environment_only_where_listed():

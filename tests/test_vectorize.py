@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hsdual.entangle import schmidt
-from hsdual.linalg import DimensionMismatchError, Verdict, complex_gaussian, inner, kron
+from hsdual.linalg import DimensionMismatchError, Verdict, complex_gaussian, inner, kron, random_unitary
 from hsdual.paper import devec_via_slices, phi_plus, vec_t
 from hsdual.superop import SuperOp
 from hsdual.vectorize import (
@@ -54,12 +54,29 @@ def test_value_object_fields_are_read_only(obj, name):
     assert getattr(obj, name) is value
 
 
+def test_basis_owns_its_unitary():
+    u = random_unitary(3, 4)
+    b = Basis(u)
+    bases = BasisPair(b, Basis.standard(2))
+    a = complex_gaussian(2, 3, np.random.default_rng(8))
+    v = vec_j(a, bases)  # caches is_standard and conjugation
+    kept_u, kept_j = b.u.copy(), b.conjugation.copy()
+    u[:] = random_unitary(3, 5)  # the caller reuses its array
+    assert np.array_equal(b.u, kept_u)
+    assert not b.is_standard
+    assert np.array_equal(b.conjugation, kept_j)
+    assert np.array_equal(vec_j(a, bases), v)
+    with pytest.raises(ValueError):
+        b.u[0, 0] = 2
+    assert not np.shares_memory(b.u, u)
+
+
 def test_basis_adapted_to():
     rng = np.random.default_rng(1)
     phi = complex_gaussian(4, 1, rng)[:, 0]
     phi = phi / np.linalg.norm(phi)
     b = Basis.adapted_to(phi)
-    assert np.array_equal(b.column(0), phi)
+    assert np.array_equal(b.u[:, 0], phi)
 
 
 def test_basis_adapted_to_checks_the_bound_basis_enforces():
@@ -69,7 +86,7 @@ def test_basis_adapted_to_checks_the_bound_basis_enforces():
     with pytest.raises(ValueError, match="adapted_to"):
         Basis.adapted_to(phi * (1 + 5e-9))
     near = phi * (1 + 2e-11)  # | ||near||^2 - 1 | = 4e-11
-    assert np.array_equal(Basis.adapted_to(near).column(0), near)
+    assert np.array_equal(Basis.adapted_to(near).u[:, 0], near)
     # A norm that is not a number is refused by adapted_to too, not by Basis.
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="^adapted_to"):
@@ -85,7 +102,7 @@ def test_conjugation_standard_basis_is_entrywise():
 def test_conjugation_fixes_basis_columns():
     b = Basis.random(4, 7)
     for k in range(4):
-        assert np.abs(conjugate_in_basis(b, b.column(k)) - b.column(k)).max() < 1e-12
+        assert np.abs(conjugate_in_basis(b, b.u[:, k]) - b.u[:, k]).max() < 1e-12
 
 
 def test_vec_j_standard_is_column_stacking():
@@ -98,8 +115,8 @@ def test_vec_j_on_matrix_units():
     bases = rand_pair(3, 2, 5)
     for i in range(2):
         for j in range(3):
-            unit = np.outer(bases.b2.column(i), np.conj(bases.b1.column(j)))
-            expected = np.kron(bases.b1.column(j), bases.b2.column(i))
+            unit = np.outer(bases.b2.u[:, i], np.conj(bases.b1.u[:, j]))
+            expected = np.kron(bases.b1.u[:, j], bases.b2.u[:, i])
             assert np.abs(vec_j(unit, bases) - expected).max() < 1e-12
 
 
@@ -123,8 +140,8 @@ def test_devec_jstar_on_tensor_basis():
     bases = rand_pair(3, 2, 13)
     for i in range(3):
         for j in range(2):
-            alpha = np.kron(bases.b1.column(i), bases.b2.column(j))
-            expected = np.outer(bases.b2.column(j), np.conj(bases.b1.column(i)))
+            alpha = np.kron(bases.b1.u[:, i], bases.b2.u[:, j])
+            expected = np.outer(bases.b2.u[:, j], np.conj(bases.b1.u[:, i]))
             assert np.abs(devec_jstar(alpha, bases) - expected).max() < 1e-12
 
 
@@ -161,7 +178,7 @@ def test_partial_slice_on_product_vector():
     psi = complex_gaussian(2, 1, rng)[:, 0]
     for i in range(3):
         got = partial_slice(i, np.kron(phi, psi), bases)
-        assert np.abs(got - inner(bases.b1.column(i), phi) * psi).max() < 1e-12
+        assert np.abs(got - inner(bases.b1.u[:, i], phi) * psi).max() < 1e-12
 
 
 def test_partial_slice_standard_coordinates():
@@ -232,25 +249,27 @@ def test_basis_changes_match_kron_formulas(d1, d2):
             assert np.abs(partial_slice(i, alpha, bases) - slice_ref).max() < 1e-13
 
 
-@pytest.mark.parametrize("d1,d2", [(40, 40), (64, 24), (64, 64)])
+@pytest.mark.parametrize("d1,d2", [(2, 3), (4, 4), (8, 8), (40, 40), (64, 24), (64, 64)])
 def test_closed_forms_beyond_the_old_kron_cap(d1, d2):
-    # d1*d2 > 1024: kron(U1, U2) would be refused here, the closed forms
-    # J1 A^T and conj(U1[:, i])^T alpha.reshape(d1, d2) are not.
-    bases = rand_pair(d1, d2, d1 + 3 * d2)
+    # Up to d1*d2 = 4096, where kron(U1, U2) would be refused above 1024: the
+    # closed forms J1 A^T and conj(U1[:, i])^T alpha.reshape(d1, d2) read no
+    # H2 basis, so another one gives the same bits.
+    random_pair = rand_pair(d1, d2, d1 + 3 * d2)
     a = complex_gaussian(d2, d1, np.random.default_rng(d1 * d2))
-    v = vec_j(a, bases)
-    assert np.abs(v - vec_t(a, bases.b1)).max() < 1e-13
-    # The paper's H2-independence: another H2 basis gives the same vector.
-    other = BasisPair(bases.b1, Basis.random(d2, d1 + 3 * d2 + 1))
-    assert np.abs(vec_j(a, other) - v).max() < 1e-13
-    # Slices against <phi_i (x) psi_j, alpha> summed over psi_j in plain numpy.
     alpha = complex_gaussian(d1 * d2, 1, np.random.default_rng(d1 * d2 + 1))[:, 0]
-    u1, u2 = bases.b1.u, bases.b2.u
-    coeff = u1.conj().T @ alpha.reshape(d1, d2) @ u2.conj()
-    for i in range(d1):
-        s = partial_slice(i, alpha, bases)
-        assert np.abs(s - u2 @ coeff[i]).max() < 1e-13
-        assert np.array_equal(partial_slice(i, alpha, other), s)
+    for b1 in (Basis.standard(d1), random_pair.b1):
+        bases = BasisPair(b1, random_pair.b2)
+        other = BasisPair(b1, Basis.random(d2, d1 + 3 * d2 + 1))
+        v = vec_j(a, bases)
+        assert np.abs(v - vec_t(a, b1)).max() < 1e-13
+        assert np.array_equal(vec_j(a, other), v)
+        # Slices against <phi_i (x) psi_j, alpha> summed over psi_j in plain numpy.
+        u1, u2 = b1.u, bases.b2.u
+        coeff = u1.conj().T @ alpha.reshape(d1, d2) @ u2.conj()
+        for i in range(d1):
+            s = partial_slice(i, alpha, bases)
+            assert np.abs(s - u2 @ coeff[i]).max() < 1e-13
+            assert np.array_equal(partial_slice(i, alpha, other), s)
 
 
 def test_basis_conjugation_matrix():
