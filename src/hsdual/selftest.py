@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import bench as bench_mod
 from .linalg import (
     Verdict,
     adjoint,
@@ -324,18 +323,19 @@ def kraus_to_r_closed_form_random_basis(rng, n):
 
 @register("superop", 4, bound=1e-10)
 def chain_composition_oracle(rng, n):
-    """A chain of n channels (d = 4, rank 3), composed into one R-matrix, acts
-    on ten states as the nested Kraus sums do."""
-    basis = Basis.standard(4)
-    chain = [random_tp_kraus(4, 3, rng) for _ in range(n)]
-    total = SuperOp(np.eye(16, dtype=complex), BasisPair(basis, basis))
-    for ms in chain:
-        total = compose(SuperOp.from_kraus(ms, basis), total)
-    for _ in range(10):
-        state = nested = complex_gaussian(4, 4, rng)
+    """A chain of n channels (d = 3 of rank 2, d = 4 of rank 3), composed into
+    one R-matrix, acts on ten states as the nested Kraus sums do."""
+    for d, rank in ((3, 2), (4, 3)):
+        basis = Basis.standard(d)
+        chain = [random_tp_kraus(d, rank, rng) for _ in range(n)]
+        total = SuperOp(np.eye(d * d, dtype=complex), BasisPair(basis, basis))
         for ms in chain:
-            nested = kraus_apply(ms, nested)
-        yield _dist(total.as_hsmap()(state), nested)
+            total = compose(SuperOp.from_kraus(ms, basis), total)
+        for _ in range(10):
+            state = nested = complex_gaussian(d, d, rng)
+            for ms in chain:
+                nested = kraus_apply(ms, nested)
+            yield _dist(total.as_hsmap()(state), nested)
 
 
 def _budget_channels(rng, n):
@@ -487,13 +487,64 @@ def schmidt_unitary_invariance(rng, n):
         yield _dist(np.sort(schmidt(alpha, std).lambdas), np.sort(schmidt(rotated, std).lambdas))
 
 
-@register("bench-sanity", 4, bound=1e-8)
-def bench_method_agreement(rng, n):
-    """bench's two composition strategies agree on chains of n channels
-    (d = 3 of rank 2, d = 4 of rank 3)."""
-    for dim, rank in ((3, 2), (4, 3)):
-        cfg = bench_mod.BenchConfig(dim, rank, chain_length=n, trials=3, seed=int(rng.integers(2**32)))
-        yield bench_mod.run_bench(cfg).max_deviation
+# The paper's R isomorphism holds on infinite-dimensional spaces, Choi's only on
+# finite ones.  The sections suite shows this on the first d levels of an
+# oscillator: R of a cut channel is the cut of R, and R_d settles as d grows
+# while C_d does not.  Every norm is taken at d <= 16, where an SVD of R_d is cheap.
+SECTIONS = (2, 4, 8, 16)
+GAMMA = 0.3
+
+
+def _damping(d: int) -> np.ndarray:
+    """Amplitude damping of rate GAMMA on the first d levels: M_0 =
+    diag((1 - GAMMA)^(n/2)) and M_1[n, n-1] = sqrt(1 - (1 - GAMMA)^n), so
+    sum_i M_i M_i* = I at every d."""
+    levels = np.arange(d)
+    m = np.zeros((2, d, d), dtype=complex)
+    m[0] = np.diag((1 - GAMMA) ** (levels / 2))
+    m[1, levels[1:], levels[:-1]] = np.sqrt(1 - (1 - GAMMA) ** levels[1:])
+    return m
+
+
+@register("sections", 1, bound=0.0)
+def section_consistency(rng, n):
+    """R of the damping channel cut to d levels is R on 32 levels cut to the
+    operators on the first d, the indices a * 32 + b with a, b < d, exactly."""
+    r = kraus_to_r_kron(_damping(32))
+    for d in SECTIONS:
+        keep = (np.arange(d)[:, None] * 32 + np.arange(d)).ravel()
+        yield _dist(kraus_to_r_kron(_damping(d)), r[np.ix_(keep, keep)])
+
+
+@register("sections", 2, bound=1e-10)
+def section_products(rng, n):
+    """For Kraus stacks A (rank 2) and B (rank 3) on 16 levels, both upper or
+    both lower triangular, R_d({B_j A_i}) = R_d(A) R_d(B) at d = 2 ... 16,
+    relative in the Frobenius norm.  The triangular shape makes the cut of
+    B_j A_i the product of the cuts; full blocks break it."""
+    for _ in range(n):
+        for triangle in (np.triu, np.tril):
+            a = triangle(np.stack([complex_gaussian(16, 16, rng) for _ in range(2)]))
+            b = triangle(np.stack([complex_gaussian(16, 16, rng) for _ in range(3)]))
+            stack = (b[:, None] @ a[None, :]).reshape(-1, 16, 16)
+            for d in range(2, 17):
+                product = kraus_to_r_kron(a[:, :d, :d]) @ kraus_to_r_kron(b[:, :d, :d])
+                yield np.linalg.norm(kraus_to_r_kron(stack[:, :d, :d]) - product) / np.linalg.norm(product)
+
+
+@register("sections", 1, bound=0.5)
+def section_norms_exhibit(rng, n):
+    """The damping sections' R_d settle and their Choi matrices C_d do not:
+    ||R_16|| - ||R_8|| < 1e-6, while ||C_d|| >= d - 1/GAMMA at every d, which
+    has no limit (deviation 0 when both hold, 1 when not).  C_d = V V* has the
+    norm of the Gram matrix diag(||M_0||^2, ||M_1||^2), and ||M_1||^2 =
+    d - sum_{n<d} (1 - GAMMA)^n."""
+    sections = [_damping(d) for d in SECTIONS]
+    r_norms = [operator_norm(kraus_to_r_kron(m)) for m in sections]
+    c_norms = [operator_norm(choi_map(m)) for m in sections]
+    settles = r_norms[-1] - r_norms[-2] < 1e-6
+    grows = all(c >= d - 1 / GAMMA for d, c in zip(SECTIONS, c_norms))
+    yield 0.0 if settles and grows else 1.0
 
 
 def run_suites(names: list[str], seed: int) -> list[tuple[str, str, str, Verdict]]:

@@ -363,12 +363,13 @@ def test_every_traced_cli_name_is_an_attribute_of_the_cli(monkeypatch):
     assert [name for name in tracing.CLI_SPANS if not hasattr(hsdual.cli, name)] == []
 
 
-def test_selftest_unknown_suite_exits_2(cli):
-    code, _, err = cli("selftest", "--suite", "nonsense")
+@pytest.mark.parametrize("suite", ["nonsense", "bench-sanity"])
+def test_selftest_unknown_suite_exits_2(cli, suite):
+    code, _, err = cli("selftest", "--suite", suite)
     assert code == 2
     assert "usage" in err
     choices = ", ".join(map(repr, ["all", *sorted(SUITES)]))
-    assert err.splitlines()[-1].endswith(f"argument --suite: invalid choice: 'nonsense' (choose from {choices})")
+    assert err.splitlines()[-1].endswith(f"argument --suite: invalid choice: '{suite}' (choose from {choices})")
 
 
 def test_selftest_suite_defaults_to_all():
