@@ -410,17 +410,30 @@ def choi_of_transpose_min_eigenvalue(rng, n):
     yield abs(min_eigenvalue(_choi_2(HSMap(2, 2, lambda a: a.T.copy()))) + 1.0)
 
 
-@register("choi", 20, bound=1e-10)
-def choi_positivity_of_kraus_channels(rng, n):
-    """check_cp certifies a Kraus channel from its Gram matrix; psd_check of the
-    Choi matrix probed from the map is the oracle for verdict and threshold."""
+def _cp_channels(rng, n):
+    """n random trace-preserving channels at d = 2, 3 of every rank 1 to
+    d^2 + 1, then one at d = 3, k = 9 whose blocks after the first are
+    scaled by 1e-8, so that C's least eigenvalue sits far below rounding."""
     for _ in range(n):
         d = int(rng.integers(2, 4))
-        ms = random_tp_kraus(d, int(rng.integers(1, 4)), rng)
+        yield random_tp_kraus(d, int(rng.integers(1, d * d + 2)), rng)
+    dominant = random_tp_kraus(3, 9, rng)
+    dominant[1:] *= 1e-8
+    yield dominant
+
+
+@register("choi", 20, bound=1e-10)
+def choi_positivity_of_kraus_channels(rng, n):
+    """check_cp certifies a Kraus channel from the singular values of its
+    blocks; psd_check of the Choi matrix probed from the map is the oracle for
+    verdict, threshold and least eigenvalue (relative to ||C||_2)."""
+    for ms in _cp_channels(rng, n):
         v = check_cp(ms)
-        oracle = psd_check(choi_of_map(HSMap.from_kraus(ms), Basis.standard(d)))
+        c = choi_of_map(HSMap.from_kraus(ms), Basis.standard(ms.shape[1]))
+        oracle = psd_check(c)
         yield -oracle.value
         yield abs(v.threshold - oracle.threshold) / -oracle.threshold
+        yield abs(v.value - oracle.value) / operator_norm(c)
         yield 0.0 if v.passed and oracle.passed else 1.0
 
 

@@ -35,14 +35,13 @@ arXiv:1111.6950, sec. 3).  Both cost O(k d^4) for k blocks of size d:
   column k of the d^2 x k matrix V is the row-major flattening of conj(M_k).
 
 Complete positivity of a Kraus channel (``check_cp``) is certified without
-the Choi matrix.  C = V V^* is positive by construction, and its nonzero
-eigenvalues are those of the k x k Gram matrix V^* V (Watrous, The Theory of
-Quantum Information, ch. 2).  For k < d^2 the least eigenvalue of C is 0, and
-the largest, which sets the threshold, comes from the Gram matrix: O(k d^2)
-to form V, O(k^2 d^2) for V^* V and O(k^3) for its eigenvalues, with no
-d^4 array and no basis.  For k >= d^2 C is built and eigensolved, under the
-d^4 entry cap of ``choi_map``.  Both paths end in ``linalg.Verdict.psd``,
-which refuses a lambda_max that overflowed.
+the Choi matrix.  C = V V^* is positive by construction, and its d^2
+eigenvalues are the squared singular values of the k x d^2 matrix V^* of
+flattened blocks, padded with zeros when k < d^2 (Watrous, The Theory of
+Quantum Information, ch. 2).  One SVD of the stacked blocks gives both ends
+of the spectrum at every rank, in O(min(k, d^2)^2 max(k, d^2)) with no array
+larger than the channel and no basis; ``linalg.Verdict.psd`` then refuses a
+lambda_max that overflowed.
 
 hsdual.paper holds the paper's literal constructions, the oracles for these;
 its ``choi_of_map`` gives the Choi matrix of a map that is not a Kraus stack.
@@ -63,7 +62,6 @@ from .linalg import (
     as_matrix,
     complex_gaussian,
     guard_entries,
-    psd_check,
 )
 from .vectorize import Basis, BasisPair, devec_jstar, vec_j
 
@@ -205,35 +203,33 @@ def choi_map(ms, *, normalize: bool = False) -> np.ndarray:
 
 
 def compose(b1: SuperOp, b2: SuperOp) -> SuperOp:
-    """Composition b1 after b2, a plain product of R-matrices."""
+    """Composition b1 after b2, a plain product of R-matrices.  An R-matrix
+    depends on its bases only through J1 and d2, so only the H1 bases must
+    agree."""
     if (b1.d1, b1.d2) != (b2.d1, b2.d2):
         raise DimensionMismatchError("compose: dimension mismatch")
-    if not (
-        np.array_equal(b1.bases.b1.u, b2.bases.b1.u)
-        and np.array_equal(b1.bases.b2.u, b2.bases.b2.u)
-    ):
+    if not np.array_equal(b1.bases.b1.u, b2.bases.b1.u):
         raise DimensionMismatchError("compose: superoperators use different bases")
     return SuperOp(b1.rmatrix @ b2.rmatrix, b1.bases)
 
 
 def check_cp(ms) -> Verdict:
     """Complete positivity of a Kraus channel via the Choi criterion: the PSD
-    rule ``Verdict.psd`` on the least eigenvalue of the Choi matrix C.
+    rule ``Verdict.psd`` on the spectrum of the Choi matrix C = V V^*.
 
-    C = V V^* is positive by construction, and its nonzero eigenvalues are
-    those of the k x k Gram matrix V^* V.  So for k < d^2 the verdict is PASS
-    with the structural least eigenvalue 0, and lambda_max is read off the
-    Gram matrix; C is never built, and the Gram matrix has fewer entries than
-    the channel.  Neither depends on the basis (J is unitary), so none is
-    taken.  For k >= d^2 the Gram matrix is no smaller than C, so psd_check
-    runs on C, which choi_map refuses above MAX_KRON_ENTRIES entries.
+    The d^2 eigenvalues of C are the squared singular values of the stacked
+    blocks, zeros after the first min(k, d^2).  So the least is s_{d^2}^2, 0
+    when k < d^2, and the largest s_1^2; one more zero stands in for both at
+    d = 0.  They are squared as Python floats, whose product overflows to inf
+    silently, for ``Verdict.psd`` to refuse.  C is never built, and neither
+    value depends on the basis (J is unitary), so none is taken.
     """
     m = _kraus(ms, what="Choi matrix")
     k, d, _ = m.shape
-    if k >= d * d:
-        return psd_check(choi_map(m))
-    w = m.reshape(k, d * d)
-    return Verdict.psd(0.0, float(np.linalg.eigvalsh(w.conj() @ w.T)[-1]))
+    s = np.zeros(d * d + 1)
+    s[: min(k, d * d)] = np.linalg.svd(m.reshape(k, d * d), compute_uv=False)
+    least, top = float(s[d * d - 1]), float(s[0])
+    return Verdict.psd(least * least, top * top)
 
 
 def check_tp(ms) -> Verdict:
@@ -260,4 +256,4 @@ def random_tp_kraus(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
 def tp_deviation(ms) -> float:
     """Max-entry deviation of sum_i M_i M_i* from the identity."""
     m = _kraus(ms)
-    return float(np.abs((m @ m.conj().transpose(0, 2, 1)).sum(axis=0) - np.eye(m.shape[1])).max())
+    return float(np.abs((m @ m.conj().transpose(0, 2, 1)).sum(axis=0) - np.eye(m.shape[1])).max(initial=0.0))

@@ -205,8 +205,8 @@ def test_last_entry_fault_of_a_64x64_file_exits_2_with_its_line(cli, tmp_path, n
 # command forms overflow, and it must refuse with one line, not print inf or nan.
 # schmidt forms no product of entries, so its vector has a Schmidt coefficient
 # (sqrt(2) * 1.5e308) beyond the double range.  The products of FLAT stay
-# finite, but the largest eigenvalue of its Choi matrix (4 blocks) or Gram
-# matrix (3 blocks), about 3e308, overflows inside the eigensolver.
+# finite, but the largest eigenvalue of the Choi matrix of 4 or 3 such
+# blocks, the squared largest singular value of the stack, is about 3e308.
 NEAR_LIMIT = np.array([[1e300, 0], [0, 1]])
 FLAT = np.full((2, 2), 4.47e153)
 OVERFLOW_CALLS = {
@@ -282,7 +282,7 @@ def test_check_golden_stdout(cli, tmp_path):
 
 def test_check_cp_of_low_rank_channel_prints_structural_zero(cli, tmp_path):
     # k < d^2: the Choi matrix V V* has a null space, so its least eigenvalue
-    # is 0.  Only the k x k Gram matrix is built, so d runs up to MAX_DIM.
+    # is 0.  Only the stacked blocks are read, so d runs up to MAX_DIM.
     from hsdual.selftest import random_tp_kraus
 
     for d, k in ((4, 2), (64, 1)):

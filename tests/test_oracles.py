@@ -3,7 +3,8 @@ only the ones a test runs.
 
 The paper's constructions in hsdual.paper are oracles only: no production
 module imports hsdual.paper, and production builds Kronecker products only in
-the functions named below, reads a BasisPair's H2 basis only in the functions
+the functions named below, builds Choi's matrix only for the choi command and
+eigensolves it nowhere, reads a BasisPair's H2 basis only in the functions
 H2_READERS names, and reads the environment only in the functions ENV_READERS
 names.  Each numeric bound is written in one place: a
 float literal below 1e-6 appears only where the table below puts it, and the
@@ -13,6 +14,8 @@ every property of which they run.
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import hsdual
 from hsdual import selftest
@@ -29,12 +32,18 @@ KRON_CALLERS = {
 # The guarded wrapper itself, whose body is the one np.kron call it wraps.
 KRON_WRAPPER = "linalg.kron"
 
+# Production functions allowed to build Choi's matrix, and to eigensolve a
+# matrix for its PSD verdict, by module-qualified name.  check_cp reads the
+# singular values of the stacked blocks instead, so only the choi command
+# builds C, and nothing eigensolves it.
+CHOI_CALLERS = {"cli.cmd_choi"}
+PSD_CALLERS = set()
+
 # Production functions allowed to read the H2 basis, the attribute b2 of a
 # BasisPair, by module-qualified name.  The H2 basis cancels from every map,
-# so production reads it only for d2, for devec_jstar's kron and for compose's
-# check that two superoperators share their bases.  When that kron goes,
-# devec_jstar leaves this set and KRON_CALLERS together.
-H2_READERS = {"vectorize.BasisPair.d2", "vectorize.devec_jstar", "superop.compose"}
+# so production reads it only for d2; only devec's kron reads U2.  When that
+# kron goes, devec_jstar leaves this set and KRON_CALLERS together.
+H2_READERS = {"vectorize.BasisPair.d2", "vectorize.devec_jstar"}
 
 # Production functions allowed to read an environment variable, by
 # module-qualified name.  A limit or a mode is a constant or a flag instead.
@@ -90,14 +99,15 @@ def scoped_nodes(node, scope):
         yield from scoped_nodes(child, scope)
 
 
-def kron_callers(tree, module):
-    """Module-qualified name of the function around each call to a kron."""
+def callers(tree, module, name):
+    """Module-qualified name of the function around each call to a function
+    called name, however imported."""
     found = []
     for scope, node in scoped_nodes(tree, module):
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "kron":
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
                 found.append(scope)
     return found
 
@@ -138,10 +148,23 @@ def test_production_never_imports_the_paper_module():
 
 
 def test_production_calls_kron_only_where_listed():
-    callers = [scope for module in PRODUCTION for scope in kron_callers(parse(module), module)]
-    assert [scope for scope in callers if scope not in KRON_CALLERS | {KRON_WRAPPER}] == []
+    found = [scope for module in PRODUCTION for scope in callers(parse(module), module, "kron")]
+    assert [scope for scope in found if scope not in KRON_CALLERS | {KRON_WRAPPER}] == []
     # The list names no function that has stopped calling kron.
-    assert KRON_CALLERS | {KRON_WRAPPER} == set(callers)
+    assert KRON_CALLERS | {KRON_WRAPPER} == set(found)
+
+
+@pytest.mark.parametrize(
+    "name,allowed",
+    [
+        pytest.param("choi_map", CHOI_CALLERS, id="choi_map"),
+        pytest.param("psd_check", PSD_CALLERS, id="psd_check"),
+    ],
+)
+def test_production_builds_and_eigensolves_choi_only_where_listed(name, allowed):
+    # check --cp builds no Choi matrix: its verdict comes from the blocks.
+    found = {scope for module in PRODUCTION for scope in callers(parse(module), module, name)}
+    assert found == allowed
 
 
 def test_production_reads_the_h2_basis_only_where_listed():

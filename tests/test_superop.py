@@ -3,6 +3,7 @@ import pytest
 
 from hsdual.linalg import (
     MAX_KRON_ENTRIES,
+    TOL,
     DimensionMismatchError,
     complex_gaussian,
     kron,
@@ -190,9 +191,11 @@ GRAM_CP_CASES = sorted({(d, k) for d in (1, 2, 3, 5, 8) for k in (1, 2, d * d - 
 @pytest.mark.parametrize("d,k", GRAM_CP_CASES)
 def test_gram_cp_verdict_matches_choi_eigensolve(d, k):
     # Oracle: psd_check of the built Choi matrix, in any basis: choi_map's in
-    # the standard basis, the probe's in a random one.  A stack of plain
-    # Gaussian blocks is CP but not TP; the scales probe over- and underflow
-    # margins.
+    # the standard basis, the probe's in a random one.  check_cp reads the
+    # squared singular values of the stacked blocks instead, so its least
+    # eigenvalue agrees with either eigensolve to rounding in ||C||_2.  A
+    # stack of plain Gaussian blocks is CP but not TP; the scales probe over-
+    # and underflow margins.
     rng = np.random.default_rng(100 * d + k)
     stack = np.stack([complex_gaussian(d, d, rng) for _ in range(k)])
     for scale in (1.0, 1e100, 1e-100):
@@ -203,17 +206,17 @@ def test_gram_cp_verdict_matches_choi_eigensolve(d, k):
             oracle = psd_check(c)
             assert v.passed == oracle.passed
             assert abs(v.threshold - oracle.threshold) <= 1e-12 * abs(oracle.threshold)
-            if k < d * d:
-                assert v.value == 0.0
-            elif basis.is_standard:  # the matrix check_cp eigensolves; another basis differs by rounding
-                assert v.value == oracle.value
+            assert abs(v.value - oracle.value) <= 1e-12 * np.linalg.norm(c, 2)
+        if k < d * d:
+            assert v.value == 0.0
+        else:
+            assert v.value >= 0.0
 
 
 def test_gram_cp_fails_when_lambda_max_overflows():
     # Refused rather than judged against an infinite threshold, as psd_check
-    # of the Choi matrix is.
-    ms = np.array([[[1e300, 0], [0, 1]]])
-    with np.errstate(over="ignore", invalid="ignore"):
+    # of the Choi matrix is, at k = 1 and at k = d^2 alike.
+    for ms in (np.array([[[1e300, 0], [0, 1]]]), 1e160 * np.stack([np.eye(2)] * 4)):
         with pytest.raises(FloatingPointError, match="^overflow encountered in eigvalsh"):
             check_cp(ms)
 
@@ -319,11 +322,31 @@ def test_compose_identity_and_channels():
     assert np.abs(squared.rmatrix - np.eye(4)).max() < 1e-12
 
 
+def test_compose_needs_only_the_h1_bases_to_agree():
+    # An R-matrix depends on U1 and d2 alone, so the H2 bases may differ.
+    rng = np.random.default_rng(28)
+    b = Basis.random(2, 28)
+    r1, r2 = complex_gaussian(4, 4, rng), complex_gaussian(4, 4, rng)
+    got = compose(SuperOp(r1, BasisPair(b, Basis.random(2, 29))), SuperOp(r2, BasisPair(b, Basis.standard(2))))
+    assert np.array_equal(got.rmatrix, r1 @ r2)
+
+
 def test_compose_rejects_mismatched_bases():
     b1 = SuperOp(np.eye(4, dtype=complex), BasisPair.standard(2, 2))
     b2 = SuperOp(np.eye(4, dtype=complex), BasisPair(Basis.random(2, 1), Basis.random(2, 2)))
     with pytest.raises(DimensionMismatchError):
         compose(b1, b2)
+
+
+def test_zero_dimensional_channel():
+    # d = 0: every conversion returns its empty array, and both checks pass
+    # with value 0, as unitary_defect reads an empty matrix.
+    ms = np.zeros((1, 0, 0))
+    assert kraus_apply(ms, np.zeros((0, 0))).shape == (0, 0)
+    assert kraus_to_r_kron(ms).shape == (0, 0)
+    assert choi_map(ms).shape == (0, 0)
+    for v in (check_cp(ms), check_tp(ms)):
+        assert v.passed and v.value == 0.0
 
 
 def test_check_tp():
@@ -393,9 +416,12 @@ def test_superoperator_cap_refuses_d33():
         SuperOp.from_kraus(ms, Basis.standard(d))
     with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
         choi_map(ms)
-    with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
-        check_cp(np.broadcast_to(ms[0], (d * d, d, d)))  # k = d^2: the Choi matrix is built
-    assert check_cp(ms).passed  # k = 1: only the 1 x 1 Gram matrix is
+    # check_cp builds no d^4 array at any rank: d^2 identity blocks pass, with
+    # C = d^2 vec(I) vec(I)* of rank 1 and norm d^3.
+    v = check_cp(np.broadcast_to(ms[0], (d * d, d, d)))
+    assert v.passed and v.value == 0.0
+    assert abs(v.threshold + TOL * (1 + d**3)) <= 1e-12 * TOL * (1 + d**3)
+    assert check_cp(ms).passed
     with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
         choi_of_map(HSMap.from_kraus(ms), Basis.standard(d))
     assert kraus_to_r_kron([np.eye(32, dtype=complex)]).shape == (1024, 1024)
