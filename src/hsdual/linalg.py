@@ -131,10 +131,10 @@ class Verdict(NamedTuple):
     @classmethod
     def psd(cls, least: float, top: float) -> "Verdict":
         """The PSD rule: pass iff least >= -TOL * (1 + top), top the largest
-        |eigenvalue|; FloatingPointError if top overflowed, which eigvalsh and
-        a product of floats do silently."""
+        |eigenvalue|; FloatingPointError, naming that eigenvalue, if top
+        overflowed, which eigvalsh and a product of floats do silently."""
         if not np.isfinite(top):
-            raise FloatingPointError("overflow encountered in eigvalsh: an eigenvalue exceeds the double range")
+            raise FloatingPointError("overflow: the largest eigenvalue exceeds the double range")
         threshold = -TOL * (1 + top)
         return cls(least >= threshold, least, threshold)
 

@@ -6,21 +6,26 @@ probing matrix units, where production runs a closed form or a reshape:
 * ``vec_t``: sum_j phi_j (x) A phi_j (production: ``vectorize.vec_j``);
 * ``phi_plus``: sum_j phi_j (x) phi_j, the vec_t of the identity;
 * ``devec_via_slices``: sum_j |P_j alpha><phi_j| through the slice operators
-  P_j (production: ``vectorize.devec_jstar``);
+  P_j alpha = sum_i <phi_j (x) psi_i, alpha> psi_i (production:
+  ``vectorize.devec_jstar``);
 * ``m_alpha``: the operator M_alpha a Kraus channel attaches to a vector alpha;
 * ``kraus_to_r``: the R-matrix column by column, alpha -> vec_t(M_alpha)
   (production: ``superop.kraus_to_r_kron``, the closed form of Wood, Biamonte
   and Cory, arXiv:1111.6950, sec. 3);
 * ``lift_r``: the R isomorphism vec . B . devec, probed on the matrix units
-  |psi_i><phi_j| (its inverse is ``superop.lower_s``);
+  |psi_i><phi_j|, each image vectorized by ``vec_t`` (its inverse is
+  ``superop.lower_s``);
 * ``choi_of_map``: Choi's matrix sum_{i,j} |phi_i><phi_j| (x) B(|phi_i><phi_j|),
   probed on the matrix units in any basis (production: ``superop.choi_map``,
   C = V V^* of a Kraus stack in the standard basis);
 * ``choi_of_vector``: (I (x) A) applied to phi_plus, which equals vec_t(A).
 
 This module is the oracle the tests and ``selftest`` compare the closed forms
-against.  No module of the package but ``selftest`` imports it (a test parses
-their imports), so no other CLI command loads it.  ``lift_r`` and
+against.  It imports no production basis change, only the basis types, the
+bipartite-vector check, ``HSMap``, the Kraus validator and ``linalg`` helpers,
+so a change to a closed form cannot change the oracle that checks it.  No
+module of the package but ``selftest`` imports it, so no other CLI command
+loads it; tests/test_oracles.py parses the imports both ways.  ``lift_r`` and
 ``choi_of_map`` are also the library's only way to lift a map given only as a
 callable, ``HSMap(d1, d2, fn)``, or to take its Choi matrix.  Both refuse a
 result above ``MAX_KRON_ENTRIES`` entries before allocating it.
@@ -32,7 +37,7 @@ import numpy as np
 
 from .linalg import DimensionMismatchError, adjoint, as_matrix, as_vector, guard_entries, kron
 from .superop import HSMap, _kraus
-from .vectorize import Basis, BasisPair, _check_bipartite, partial_slice, vec_j
+from .vectorize import Basis, BasisPair, _check_bipartite
 
 
 def vec_t(a, b1: Basis) -> np.ndarray:
@@ -56,14 +61,16 @@ def phi_plus(basis: Basis) -> np.ndarray:
 def devec_via_slices(alpha, bases: BasisPair) -> np.ndarray:
     """Devectorize through the slice operators: sum_j |P_j alpha><phi_j|.
 
-    Kron-free: each P_j is the closed form of partial_slice.  The tests check
-    it against devec_jstar, which still builds kron(U1, U2), so the two
-    constructions are independent.
+    Each slice is the paper's sum P_j alpha = sum_i <phi_j (x) psi_i, alpha> psi_i,
+    its coefficients read off against the columns phi_j (x) psi_i of
+    np.kron(phi_j, U2).
     """
     alpha = _check_bipartite(alpha, bases)
+    u1, u2 = bases.b1.u, bases.b2.u
     out = np.zeros((bases.d2, bases.d1), dtype=complex)
     for j in range(bases.d1):
-        out += np.outer(partial_slice(j, alpha, bases), np.conj(bases.b1.u[:, j]))
+        coeff = np.kron(u1[:, j, None], u2).conj().T @ alpha  # <phi_j (x) psi_i, alpha>
+        out += np.outer(u2 @ coeff, np.conj(u1[:, j]))
     return out
 
 
@@ -71,7 +78,8 @@ def lift_r(b: HSMap, bases: BasisPair) -> np.ndarray:
     """Lift a map on operators to the tensor-product space: vec . b . devec.
 
     Built by probing b on the matrix units |psi_i><phi_j| of the given bases,
-    then rotating back to standard coordinates.
+    each image vectorized as vec_t, then rotating back to standard
+    coordinates; in the standard bases that rotation is the identity, exactly.
     """
     d1, d2 = bases.d1, bases.d2
     if (b.d1, b.d2) != (d1, d2):
@@ -82,9 +90,7 @@ def lift_r(b: HSMap, bases: BasisPair) -> np.ndarray:
     for j in range(d1):
         for i in range(d2):
             unit = np.outer(bases.b2.u[:, i], np.conj(bases.b1.u[:, j]))
-            probes[:, j * d2 + i] = vec_j(b(unit), bases)
-    if bases.b1.is_standard and bases.b2.is_standard:
-        return probes
+            probes[:, j * d2 + i] = vec_t(b(unit), bases.b1)
     return probes @ adjoint(kron(bases.b1.u, bases.b2.u))
 
 

@@ -221,7 +221,7 @@ def _maps(rng, n):
 
 def _lift(m, bases: BasisPair) -> np.ndarray:
     """lift_r of the map whose matrix on column-stacked operators is m."""
-    return lift_r(HSMap.from_matrix(m, bases.d1, bases.d2), bases)
+    return lift_r(lower_s(m, BasisPair.standard(bases.d1, bases.d2)), bases)
 
 
 @register("superop", 15, bound=1e-8)
@@ -264,7 +264,7 @@ def lift_lower_round_trip(rng, n):
         r = _lift(m, bases)
         low = lower_s(r, bases)
         probe = complex_gaussian(bases.d2, bases.d1, rng)
-        yield _dist(low(probe), HSMap.from_matrix(m, bases.d1, bases.d2)(probe))
+        yield _dist(low(probe), lower_s(m, BasisPair.standard(bases.d1, bases.d2))(probe))
         yield _dist(lift_r(low, bases), r)
 
 
@@ -392,7 +392,8 @@ def choi_hs_isometry(rng, n):
     """<C(B1), C(B2)>_HS = <B1, B2>_HS (d = 2)."""
     for _ in range(n):
         m1, m2 = complex_gaussian(4, 4, rng), complex_gaussian(4, 4, rng)
-        lhs = hs_inner(_choi_2(HSMap.from_matrix(m1, 2, 2)), _choi_2(HSMap.from_matrix(m2, 2, 2)))
+        standard = BasisPair.standard(2, 2)
+        lhs = hs_inner(_choi_2(lower_s(m1, standard)), _choi_2(lower_s(m2, standard)))
         yield _rel(lhs, hs_inner(m1, m2))
 
 

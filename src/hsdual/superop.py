@@ -123,11 +123,6 @@ class HSMap:
         m = _kraus(ms)
         return cls(m.shape[1], m.shape[1], lambda a: kraus_apply(m, a))
 
-    @classmethod
-    def from_matrix(cls, mat, d1: int, d2: int) -> "HSMap":
-        """Dense map in the matrix-unit basis: mat acts on column-stacked operators."""
-        return lower_s(mat, BasisPair.standard(d1, d2))
-
 
 class SuperOp(NamedTuple):
     """A superoperator pinned to its canonical R-matrix representation."""

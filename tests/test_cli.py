@@ -213,8 +213,8 @@ OVERFLOW_CALLS = {
     "compose": ("compose", "{ch}"),
     "choi": ("choi", "{ch}"),
     "check-cp": ("check", "--cp", "{ch}"),
-    "check-cp-choi-eigenvalue": ("check", "--cp", "{flat4}"),
-    "check-cp-gram-eigenvalue": ("check", "--cp", "{flat3}"),
+    "check-cp-rank-4": ("check", "--cp", "{flat4}"),
+    "check-cp-rank-3": ("check", "--cp", "{flat3}"),
     "check-tp": ("check", "--tp", "{ch}"),
     "vec-basis-h1": ("vec", "{eye}", "--basis-h1", "{big}"),
     "schmidt": ("schmidt", "{wide}", "--d1", "2", "--d2", "2"),
@@ -470,7 +470,7 @@ def test_superoperator_commands_capped_at_d33(cli, tmp_path):
         assert code == 3 and out == ""
         assert "would have 1185921 entries" in err
     # No superoperator is built: the CP test of k = 1 < d^2 blocks reads the
-    # 1 x 1 Gram matrix.
+    # one singular value of the 1 x d^2 block stack.
     assert cli("check", ch, "--tp")[:2] == (0, "tp: PASS (deviation = 0)\n")
     assert cli("check", ch, "--cp")[:2] == (0, "cp: PASS (min eigenvalue = 0)\n")
 

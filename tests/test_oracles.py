@@ -2,7 +2,8 @@
 only the ones a test runs.
 
 The paper's constructions in hsdual.paper are oracles only: no production
-module imports hsdual.paper, and production builds Kronecker products only in
+module imports hsdual.paper, hsdual.paper imports only the production names
+PAPER_IMPORTS lists, and production builds Kronecker products only in
 the functions named below, builds Choi's matrix only for the choi command and
 eigensolves it nowhere, reads a BasisPair's H2 basis only in the functions
 H2_READERS names, and reads the environment only in the functions ENV_READERS
@@ -24,6 +25,26 @@ PACKAGE = Path(hsdual.__file__).resolve().parent
 
 # The modules a CLI command other than selftest may load, and the entry.
 PRODUCTION = ("cli", "io", "linalg", "vectorize", "superop", "entangle", "bench", "__main__")
+
+# The production names hsdual.paper may import, by module-qualified name: the
+# basis types, the bipartite-vector check, HSMap, the Kraus validator and
+# linalg helpers, but no basis change, so the oracles build from the paper's
+# sums and share no code with the closed forms they check.  The catalogue's
+# _lift still runs production vec/devec, through lower_s, but only in the
+# standard bases, where they are reshapes.
+PAPER_IMPORTS = {
+    "vectorize.Basis",
+    "vectorize.BasisPair",
+    "vectorize._check_bipartite",
+    "superop.HSMap",
+    "superop._kraus",
+    "linalg.DimensionMismatchError",
+    "linalg.adjoint",
+    "linalg.as_matrix",
+    "linalg.as_vector",
+    "linalg.guard_entries",
+    "linalg.kron",
+}
 
 # Production functions allowed to call kron, by module-qualified name.
 KRON_CALLERS = {
@@ -88,6 +109,19 @@ def paper_imports(tree):
     return found
 
 
+def package_imports(tree):
+    """Module-qualified name of each package name tree imports; a module
+    imported whole reads as its own name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names if alias.name.startswith("hsdual")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hsdual")):
+            module = (node.module or "").removeprefix("hsdual").lstrip(".")
+            found |= {f"{module}.{alias.name}".lstrip(".") for alias in node.names}
+    return found
+
+
 def scoped_nodes(node, scope):
     """Every node below node, with the module-qualified name of the
     function or class around it."""
@@ -145,6 +179,11 @@ def test_production_never_imports_the_paper_module():
     assert {module: paper_imports(parse(module)) for module in PRODUCTION} == dict.fromkeys(PRODUCTION, [])
     # selftest may, and does: the check sees its import.
     assert paper_imports(parse("selftest")) == [".paper"]
+
+
+def test_paper_imports_only_the_listed_production_names():
+    # Equality: no basis change imported, and no name listed that is no longer.
+    assert package_imports(parse("paper")) == PAPER_IMPORTS
 
 
 def test_production_calls_kron_only_where_listed():
