@@ -390,9 +390,9 @@ def choi_of_identity_corner_ones(rng, n):
 @register("choi", 20, bound=1e-10)
 def choi_hs_isometry(rng, n):
     """<C(B1), C(B2)>_HS = <B1, B2>_HS (d = 2)."""
+    standard = BasisPair.standard(2, 2)
     for _ in range(n):
         m1, m2 = complex_gaussian(4, 4, rng), complex_gaussian(4, 4, rng)
-        standard = BasisPair.standard(2, 2)
         lhs = hs_inner(_choi_2(lower_s(m1, standard)), _choi_2(lower_s(m2, standard)))
         yield _rel(lhs, hs_inner(m1, m2))
 
