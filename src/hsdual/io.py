@@ -26,7 +26,9 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:  # its str() names the file again
+        raise FormatError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
         raise FormatError(f"cannot read {path}: {e}") from None
 
 

@@ -166,17 +166,13 @@ def complex_gaussian(rows: int, cols: int, rng: np.random.Generator) -> np.ndarr
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
 
 
-def random_unitary(d: int, seed: int) -> np.ndarray:
-    """Haar-ish random unitary: QR of a seeded complex Gaussian with the
-    phases of R's diagonal absorbed into Q.  Deterministic for fixed seed."""
+def random_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Haar-ish random unitary: QR of a complex Gaussian with the phases of
+    R's diagonal absorbed into Q.  ``seed`` is an int or a Generator, drawn
+    from in place; a fixed int gives a fixed unitary."""
     if d < 1:
         raise ValueError("random_unitary: d must be >= 1")
-    rng = np.random.default_rng(seed)
-    return random_unitary_from(d, rng)
-
-
-def random_unitary_from(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = complex_gaussian(d, d, rng)
+    z = complex_gaussian(d, d, np.random.default_rng(seed))
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     phases = diag / np.abs(diag)

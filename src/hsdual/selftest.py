@@ -29,7 +29,7 @@ from .linalg import (
     min_eigenvalue,
     operator_norm,
     psd_check,
-    random_unitary_from,
+    random_unitary,
 )
 from .superop import (
     HSMap,
@@ -85,7 +85,7 @@ def register(suite: str, size: int, bound: float | None = None):
 
 
 def _random_pair(d1: int, d2: int, rng) -> BasisPair:
-    return BasisPair(Basis(random_unitary_from(d1, rng)), Basis(random_unitary_from(d2, rng)))
+    return BasisPair(Basis(random_unitary(d1, rng)), Basis(random_unitary(d2, rng)))
 
 
 def _vector(d: int, rng) -> np.ndarray:
@@ -132,7 +132,7 @@ def conjugation_involution_and_antiunitarity(rng, n):
     K(c phi) = conj(c) K phi, and K maps an orthonormal family to an
     orthonormal family."""
     for d in (2, 3, 5, 8):
-        k = functools.partial(conjugate_in_basis, Basis(random_unitary_from(d, rng)))
+        k = functools.partial(conjugate_in_basis, Basis(random_unitary(d, rng)))
         for _ in range(n):
             phi, psi = _vector(d, rng), _vector(d, rng)
             yield _dist(k(k(phi)), phi)
@@ -140,7 +140,7 @@ def conjugation_involution_and_antiunitarity(rng, n):
             yield abs(inner(k(phi), k(psi)) - inner(psi, phi))
             c = inner(psi, phi)
             yield _dist(k(c * phi), np.conj(c) * k(phi))
-        kcols = np.column_stack([k(col) for col in random_unitary_from(d, rng).T])
+        kcols = np.column_stack([k(col) for col in random_unitary(d, rng).T])
         yield _dist(adjoint(kcols) @ kcols, np.eye(d))
 
 
@@ -196,15 +196,33 @@ def alternative_vectorization(rng, n):
     """vec_t A = sum_j phi_j (x) A phi_j is vec_j A with the standard H2 basis
     and with a random one, and (I (x) A) applied to phi_plus."""
     for d1, d2 in VEC_PAIRS:
-        b1 = Basis(random_unitary_from(d1, rng))
+        b1 = Basis(random_unitary(d1, rng))
         fp = phi_plus(b1)
-        b2 = Basis(random_unitary_from(d2, rng))
+        b2 = Basis(random_unitary(d2, rng))
         for _ in range(n):
             a = complex_gaussian(d2, d1, rng)
             t = vec_t(a, b1)
             yield _dist(t, vec_j(a, BasisPair(b1, Basis.standard(d2))))
             yield _dist(t, vec_j(a, BasisPair(b1, b2)))
             yield _dist(t, kron(np.eye(d1), a) @ fp)
+
+
+CLI_LIMIT_PAIRS = ((64, 64), (64, 24), (40, 40))  # (d1, d2), up to the CLI's 64 per factor
+
+
+@register("vectorize", 1, bound=1e-10)
+def vectorization_at_the_cli_limit(rng, n):
+    """At the CLI's sizes, in random bases: <vec A, vec B> = <A, B>_HS
+    (relative), vec_j A = vec_t A, and sum_i phi_i (x) P_i alpha = alpha."""
+    for d1, d2 in CLI_LIMIT_PAIRS:
+        for _ in range(n):
+            bases = _random_pair(d1, d2, rng)
+            a, b = complex_gaussian(d2, d1, rng), complex_gaussian(d2, d1, rng)
+            alpha = _vector(d1 * d2, rng)
+            yield _rel(inner(vec_j(a, bases), vec_j(b, bases)), hs_inner(a, b))
+            yield _dist(vec_j(a, bases), vec_t(a, bases.b1))
+            slices = [partial_slice(i, alpha, bases) for i in range(d1)]
+            yield _dist(sum(np.kron(col, s) for col, s in zip(bases.b1.u.T, slices)), alpha)
 
 
 LIFT_PAIRS = ((2, 2), (3, 3), (3, 2))  # (d1, d2)
@@ -317,7 +335,7 @@ def kraus_to_r_closed_form_random_basis(rng, n):
     for _ in range(n):
         d = int(rng.integers(1, 6))
         ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
-        basis = Basis(random_unitary_from(d, rng))
+        basis = Basis(random_unitary(d, rng))
         yield _dist(kraus_to_r_kron(ms, basis), kraus_to_r(ms, basis))
 
 
@@ -497,7 +515,7 @@ def schmidt_unitary_invariance(rng, n):
     std = BasisPair.standard(3, 4)
     for _ in range(n):
         alpha = _vector(12, rng)
-        rotated = kron(random_unitary_from(3, rng), random_unitary_from(4, rng)) @ alpha
+        rotated = kron(random_unitary(3, rng), random_unitary(4, rng)) @ alpha
         yield _dist(np.sort(schmidt(alpha, std).lambdas), np.sort(schmidt(rotated, std).lambdas))
 
 

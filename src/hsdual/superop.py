@@ -168,7 +168,7 @@ def kraus_to_r_kron(ms, basis: Basis | None = None) -> np.ndarray:
     k, d, _ = m.shape
     guard_entries(d**4, "R-matrix")
     left = m.transpose(0, 2, 1)
-    if basis is not None and not basis.is_standard:
+    if basis is not None:
         j = basis.conjugation
         left = j @ left @ j.conj()
     right = m.conj().transpose(0, 2, 1)

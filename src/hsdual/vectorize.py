@@ -8,11 +8,12 @@ vectorization of A is exactly column-stacking of A.
 
 The paper's vectorization sum_j phi_j (x) A phi_j needs only the H1 basis,
 so vec_j, partial_slice, partial_slice_adjoint and conjugate_in_basis read
-only U1 and J1 = U1 U1^T: in a standard H1 basis vec_j and partial_slice are
-reshapes, in another vec_j is (J1 A^T) flattened and partial_slice
-conj(U1[:, i])^T alpha.reshape(d1, d2).  Only devec_jstar reads U2: it builds
-kron(U1, U2), one (d1*d2)^2 array bounded by MAX_KRON_ENTRIES (d1*d2 <= 1024),
-and applies its adjoint in place, conjugating only vectors.
+only U1 and J1 = U1 U1^T, with one formula for every basis: vec_j is
+(J1 A^T) flattened and partial_slice conj(U1[:, i])^T alpha.reshape(d1, d2).
+The standard basis is J1 = I, for which both give the reshapes exactly.
+Only devec_jstar reads U2, and only it asks whether a basis is standard: it
+builds kron(U1, U2), one (d1*d2)^2 array bounded by MAX_KRON_ENTRIES
+(d1*d2 <= 1024), and applies its adjoint in place, conjugating only vectors.
 hsdual.paper holds the paper's literal constructions, the oracles for these.
 """
 
@@ -28,7 +29,6 @@ from .linalg import (
     as_matrix,
     as_vector,
     kron,
-    random_unitary,
     unitary_defect,
 )
 
@@ -37,7 +37,9 @@ class Basis:
     """Orthonormal basis of C^d: a unitary whose columns are the basis vectors.
 
     ``u`` is a private read-only copy, so ``is_standard`` and ``conjugation``,
-    computed once per basis, cannot go stale.
+    computed once per basis, cannot go stale.  Only devec_jstar reads
+    ``is_standard``; every other basis change takes J = I for the standard
+    basis like any other J.
     """
 
     def __init__(self, u):
@@ -73,10 +75,6 @@ class Basis:
     @staticmethod
     def standard(d: int) -> "Basis":
         return Basis(np.eye(d, dtype=complex))
-
-    @staticmethod
-    def random(d: int, seed: int) -> "Basis":
-        return Basis(random_unitary(d, seed))
 
     @staticmethod
     def adapted_to(phi) -> "Basis":
@@ -150,8 +148,6 @@ def vec_j(a, bases: BasisPair) -> np.ndarray:
     With a standard H1 basis this is column-stacking of the matrix of A.
     """
     a = _check_operator(a, bases)
-    if bases.b1.is_standard:
-        return a.flatten(order="F")  # column-stack: index j*d2 + i
     return (bases.b1.conjugation @ a.T).reshape(-1)
 
 
@@ -180,10 +176,7 @@ def partial_slice(i: int, alpha, bases: BasisPair) -> np.ndarray:
     alpha = _check_bipartite(alpha, bases)
     if not 0 <= i < bases.d1:
         raise IndexError(f"partial_slice: index {i} out of range for d1={bases.d1}")
-    d2 = bases.d2
-    if bases.b1.is_standard:
-        return alpha[i * d2 : (i + 1) * d2].copy()
-    return bases.b1.u[:, i].conj() @ alpha.reshape(bases.d1, d2)
+    return bases.b1.u[:, i].conj() @ alpha.reshape(bases.d1, bases.d2)
 
 
 def partial_slice_adjoint(i: int, beta, bases: BasisPair) -> np.ndarray:

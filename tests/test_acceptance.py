@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-report.  Criteria 01-12 and 14 run every property of the catalogue in
+report.  Criteria 01-12, 14 and 15 run every property of the catalogue in
 hsdual.selftest, which owns their bounds, at larger sizes than selftest and at
 several seeds.
 """
@@ -191,3 +191,8 @@ def test_criterion_13_cli_golden(cli, tmp_path):
 def test_criterion_14_finite_sections():
     holds(5, catalogue.section_consistency, catalogue.section_products, catalogue.section_norms_exhibit)
     report(14, "finite sections of the infinite-dimensional lift")
+
+
+def test_criterion_15_vectorization_at_the_cli_limit():
+    holds(3, catalogue.vectorization_at_the_cli_limit)
+    report(15, "vectorization at the CLI limit")

@@ -7,7 +7,7 @@ from hsdual.entangle import (
     schmidt,
     schmidt_rank,
 )
-from hsdual.linalg import DimensionMismatchError, complex_gaussian, hs_inner, kron
+from hsdual.linalg import DimensionMismatchError, complex_gaussian, hs_inner, kron, random_unitary
 from hsdual.paper import lift_r
 from hsdual.superop import lower_s
 from hsdual.vectorize import Basis, BasisPair, conjugate_in_basis
@@ -18,7 +18,7 @@ def unit(v):
 
 
 def rand_pair(d1, d2, seed):
-    return BasisPair(Basis.random(d1, seed), Basis.random(d2, seed + 100))
+    return BasisPair(Basis(random_unitary(d1, seed)), Basis(random_unitary(d2, seed + 100)))
 
 
 def test_product_vector_rank_one():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import FAULT_FILES
 
-from hsdual.io import FORMAT_VERSION, FormatError, fmt_number, format_matrix, parse_channel, parse_matrix
+from hsdual.io import FORMAT_VERSION, FormatError, fmt_number, format_matrix, load_matrix, parse_channel, parse_matrix
 from hsdual.io import _check_entries, _pair_parts
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf,
@@ -66,6 +66,22 @@ def test_format_matrix_negative_zero_and_layout():
     assert format_matrix(np.array([[-0.0 - 0.0j, 1.5]]), 17) == (
         '{\n  "format": 1,\n  "rows": 1,\n  "cols": 2,\n  "data": [\n    [[0, 0], [1.5, 0]]\n  ]\n}\n'
     )
+
+
+def test_read_errors_name_the_file_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes(b"\xff")
+    (tmp_path / "dir.json").mkdir()
+    expected = {
+        "missing.json": "cannot read missing.json: No such file or directory",
+        "dir.json": "cannot read dir.json: Is a directory",
+        "latin1.json": "cannot read latin1.json: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte",
+    }
+    for path, message in expected.items():
+        with pytest.raises(FormatError) as e:
+            load_matrix(path)
+        assert str(e.value) == message
 
 
 def test_parse_matrix_round_trips_finite_specials_bit_exactly():

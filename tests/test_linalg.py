@@ -220,6 +220,8 @@ def test_random_unitary():
     assert np.abs(adjoint(u) @ u - np.eye(5)).max() < 1e-12
     assert np.array_equal(u, random_unitary(5, 42))  # deterministic
     assert not np.array_equal(u, random_unitary(5, 43))
+    for d, seed in ((1, 9), (5, 42), (64, 7)):  # a Generator draws as its seed does
+        assert np.array_equal(random_unitary(d, np.random.default_rng(seed)), random_unitary(d, seed))
 
 
 def test_guard_entries_shared_cap():

@@ -6,8 +6,9 @@ module imports hsdual.paper, hsdual.paper imports only the production names
 PAPER_IMPORTS lists, and production builds Kronecker products only in
 the functions named below, builds Choi's matrix only for the choi command and
 eigensolves it nowhere, reads a BasisPair's H2 basis only in the functions
-H2_READERS names, and reads the environment only in the functions ENV_READERS
-names.  Each numeric bound is written in one place: a
+H2_READERS names, asks whether a basis is standard only in the functions
+STANDARD_READERS names, and reads the environment only in the functions
+ENV_READERS names.  Each numeric bound is written in one place: a
 float literal below 1e-6 appears only where the table below puts it, and the
 acceptance criteria leave theirs to the property catalogue in hsdual.selftest,
 every property of which they run.
@@ -65,6 +66,12 @@ PSD_CALLERS = set()
 # so production reads it only for d2; only devec's kron reads U2.  When that
 # kron goes, devec_jstar leaves this set and KRON_CALLERS together.
 H2_READERS = {"vectorize.BasisPair.d2", "vectorize.devec_jstar"}
+
+# Production functions allowed to read Basis.is_standard, by module-qualified
+# name.  The standard basis is J = I, which every closed form takes like any
+# other J; only devec_jstar's shortcut round its kron asks.  The set empties
+# together with KRON_CALLERS, when that kron goes and is_standard with it.
+STANDARD_READERS = {"vectorize.devec_jstar"}
 
 # Production functions allowed to read an environment variable, by
 # module-qualified name.  A limit or a mode is a constant or a flag instead.
@@ -146,12 +153,13 @@ def callers(tree, module, name):
     return found
 
 
-def h2_readers(tree, module):
-    """Module-qualified name of the function around each read of an attribute b2."""
+def attribute_readers(tree, module, name):
+    """Module-qualified name of the function around each read of an attribute
+    called name."""
     return [
         scope
         for scope, node in scoped_nodes(tree, module)
-        if isinstance(node, ast.Attribute) and node.attr == "b2"
+        if isinstance(node, ast.Attribute) and node.attr == name
     ]
 
 
@@ -207,9 +215,16 @@ def test_production_builds_and_eigensolves_choi_only_where_listed(name, allowed)
 
 
 def test_production_reads_the_h2_basis_only_where_listed():
-    readers = {scope for module in PRODUCTION for scope in h2_readers(parse(module), module)}
+    readers = {scope for module in PRODUCTION for scope in attribute_readers(parse(module), module, "b2")}
     # Equality: no read outside the set, and no name in it that has stopped reading.
     assert readers == H2_READERS
+
+
+def test_production_asks_for_the_standard_basis_only_where_listed():
+    readers = {
+        scope for module in PRODUCTION for scope in attribute_readers(parse(module), module, "is_standard")
+    }
+    assert readers == STANDARD_READERS
 
 
 def test_production_reads_the_environment_only_where_listed():

@@ -9,6 +9,7 @@ from hsdual.linalg import (
     kron,
     min_eigenvalue,
     psd_check,
+    random_unitary,
 )
 from hsdual.selftest import random_tp_kraus
 from hsdual.superop import (
@@ -32,7 +33,7 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def rand_pair(d1, d2, seed):
-    return BasisPair(Basis.random(d1, seed), Basis.random(d2, seed + 100))
+    return BasisPair(Basis(random_unitary(d1, seed)), Basis(random_unitary(d2, seed + 100)))
 
 
 def test_lift_sandwich_is_kronecker():
@@ -154,7 +155,7 @@ def test_kraus_to_r_identity_and_bitflip():
 def test_m_alpha_matches_direct_collapse():
     # Oracle: M_alpha == sum_i M_i* devec(alpha) M_i by Kraus application.
     rng = np.random.default_rng(11)
-    basis = Basis.random(3, 12)
+    basis = Basis(random_unitary(3, 12))
     bases = BasisPair(basis, basis)
     ms = random_tp_kraus(3, 2, rng)
     alpha = complex_gaussian(9, 1, rng)[:, 0]
@@ -201,7 +202,7 @@ def test_gram_cp_verdict_matches_choi_eigensolve(d, k):
     for scale in (1.0, 1e100, 1e-100):
         ms = scale * stack
         v = check_cp(ms)
-        for basis in (Basis.standard(d), Basis.random(d, 100 * d + k)):
+        for basis in (Basis.standard(d), Basis(random_unitary(d, 100 * d + k))):
             c = choi_map(ms) if basis.is_standard else choi_of_map(HSMap.from_kraus(ms), basis)
             oracle = psd_check(c)
             assert v.passed == oracle.passed
@@ -254,7 +255,7 @@ def test_basis_change_builds_one_kron_sized_array(name, bound):
 
     d1, d2 = 32, 32  # d1*d2 = 1024, the kron cap
     rng = np.random.default_rng(25)
-    bases = BasisPair(Basis.random(d1, 26), Basis.random(d2, 27))
+    bases = BasisPair(Basis(random_unitary(d1, 26)), Basis(random_unitary(d2, 27)))
     a = complex_gaussian(d2, d1, rng)
     alpha = a.reshape(-1)
     call = {
@@ -307,7 +308,7 @@ def test_choi_of_vector():
     assert np.array_equal(choi_of_vector(X, basis), np.array([0, 1, 1, 0], dtype=complex))
     rng = np.random.default_rng(15)
     for d in (2, 4, 8):
-        b = Basis.random(d, int(rng.integers(0, 1000)))
+        b = Basis(random_unitary(d, int(rng.integers(0, 1000))))
         for _ in range(10):
             a = complex_gaussian(d, d, rng)
             assert np.abs(choi_of_vector(a, b) - vec_t(a, b)).max() < 1e-12
@@ -325,15 +326,16 @@ def test_compose_identity_and_channels():
 def test_compose_needs_only_the_h1_bases_to_agree():
     # An R-matrix depends on U1 and d2 alone, so the H2 bases may differ.
     rng = np.random.default_rng(28)
-    b = Basis.random(2, 28)
+    b = Basis(random_unitary(2, 28))
     r1, r2 = complex_gaussian(4, 4, rng), complex_gaussian(4, 4, rng)
-    got = compose(SuperOp(r1, BasisPair(b, Basis.random(2, 29))), SuperOp(r2, BasisPair(b, Basis.standard(2))))
+    other = Basis(random_unitary(2, 29))
+    got = compose(SuperOp(r1, BasisPair(b, other)), SuperOp(r2, BasisPair(b, Basis.standard(2))))
     assert np.array_equal(got.rmatrix, r1 @ r2)
 
 
 def test_compose_rejects_mismatched_bases():
     b1 = SuperOp(np.eye(4, dtype=complex), BasisPair.standard(2, 2))
-    b2 = SuperOp(np.eye(4, dtype=complex), BasisPair(Basis.random(2, 1), Basis.random(2, 2)))
+    b2 = SuperOp(np.eye(4, dtype=complex), BasisPair(Basis(random_unitary(2, 1)), Basis(random_unitary(2, 2))))
     with pytest.raises(DimensionMismatchError):
         compose(b1, b2)
 
@@ -374,7 +376,7 @@ CLOSED_FORM_CASES = [(d, k) for d in (1, 2, 3, 5, 8) for k in (1, 2, 5)]
 def _kraus_and_bases(d, k, seed):
     rng = np.random.default_rng(seed)
     ms = [complex_gaussian(d, d, rng) for _ in range(k)]  # not TP: the forms are linear in each block
-    return ms, (Basis.standard(d), Basis.random(d, seed))
+    return ms, (Basis.standard(d), Basis(random_unitary(d, seed)))
 
 
 @pytest.mark.parametrize("d,k", CLOSED_FORM_CASES)
@@ -386,6 +388,8 @@ def test_closed_form_r_matches_oracles(d, k):
         assert np.abs(r - kraus_to_r(ms, basis)).max() <= 1e-12 * scale
         assert np.abs(r - lift_r(HSMap.from_kraus(ms), BasisPair(basis, basis))).max() <= 1e-12 * scale
         assert np.array_equal(SuperOp.from_kraus(ms, basis).rmatrix, r)
+    # The standard basis is J = I, exactly the default.
+    assert np.array_equal(kraus_to_r_kron(ms, bases[0]), kraus_to_r_kron(ms))
 
 
 @pytest.mark.parametrize("d,k", CLOSED_FORM_CASES)
@@ -425,6 +429,8 @@ def test_superoperator_cap_refuses_d33():
     with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
         choi_of_map(HSMap.from_kraus(ms), Basis.standard(d))
     assert kraus_to_r_kron([np.eye(32, dtype=complex)]).shape == (1024, 1024)
+    ms = complex_gaussian(2 * 32, 32, np.random.default_rng(33)).reshape(2, 32, 32)
+    assert np.array_equal(kraus_to_r_kron(ms, Basis.standard(32)), kraus_to_r_kron(ms))
 
 
 def test_lift_r_refuses_before_probing():
@@ -450,7 +456,7 @@ def test_kraus_list_tuple_and_stack_give_identical_results():
     rng = np.random.default_rng(23)
     ms = random_tp_kraus(3, 3, rng)
     a = complex_gaussian(3, 3, rng)
-    basis = Basis.random(3, 23)
+    basis = Basis(random_unitary(3, 23))
 
     def results(channel):
         return (

@@ -17,7 +17,7 @@ from hsdual.vectorize import (
 
 
 def rand_pair(d1, d2, seed):
-    return BasisPair(Basis.random(d1, seed), Basis.random(d2, seed + 100))
+    return BasisPair(Basis(random_unitary(d1, seed)), Basis(random_unitary(d2, seed + 100)))
 
 
 def test_basis_rejects_non_unitary():
@@ -32,7 +32,7 @@ def test_basis_rejects_non_unitary():
 
 
 def _read_only_fields():
-    basis = Basis.random(2, 0)
+    basis = Basis(random_unitary(2, 0))
     pair = BasisPair(basis, Basis.standard(2))
     objects = [
         (Verdict(True, 0.0, 1.0), ["passed", "value", "threshold"]),
@@ -59,7 +59,7 @@ def test_basis_owns_its_unitary():
     b = Basis(u)
     bases = BasisPair(b, Basis.standard(2))
     a = complex_gaussian(2, 3, np.random.default_rng(8))
-    v = vec_j(a, bases)  # caches is_standard and conjugation
+    v = vec_j(a, bases)  # caches conjugation
     kept_u, kept_j = b.u.copy(), b.conjugation.copy()
     u[:] = random_unitary(3, 5)  # the caller reuses its array
     assert np.array_equal(b.u, kept_u)
@@ -100,15 +100,23 @@ def test_conjugation_standard_basis_is_entrywise():
 
 
 def test_conjugation_fixes_basis_columns():
-    b = Basis.random(4, 7)
+    b = Basis(random_unitary(4, 7))
     for k in range(4):
         assert np.abs(conjugate_in_basis(b, b.u[:, k]) - b.u[:, k]).max() < 1e-12
+
+
+# (d1, d2): the standard basis is J = I, and the general formulas give the
+# reshapes exactly at every size, up to the CLI's 64 per factor.
+STANDARD_SHAPES = [(1, 1), (2, 3), (8, 8), (64, 24), (64, 64)]
 
 
 def test_vec_j_standard_is_column_stacking():
     a, b, c, d = 1 + 1j, 2.0, 3 - 1j, 4j
     mat = np.array([[a, b], [c, d]])
     assert np.array_equal(vec_j(mat, BasisPair.standard(2, 2)), np.array([a, c, b, d]))
+    for d1, d2 in STANDARD_SHAPES:
+        mat = complex_gaussian(d2, d1, np.random.default_rng(d1 * d2))
+        assert np.array_equal(vec_j(mat, BasisPair.standard(d1, d2)), mat.flatten(order="F"))
 
 
 def test_vec_j_on_matrix_units():
@@ -163,7 +171,7 @@ def test_vec_t_identity_gives_phi_plus():
 
 def test_vec_t_rank_one():
     rng = np.random.default_rng(10)
-    b1 = Basis.random(3, 31)
+    b1 = Basis(random_unitary(3, 31))
     phi = complex_gaussian(3, 1, rng)[:, 0]
     psi = complex_gaussian(3, 1, rng)[:, 0]
     got = vec_t(np.outer(psi, np.conj(phi)), b1)
@@ -186,6 +194,11 @@ def test_partial_slice_standard_coordinates():
     alpha = np.array([a, c, b, d])
     got = partial_slice(0, alpha, BasisPair.standard(2, 2))
     assert np.array_equal(got, np.array([a, c]))
+    for d1, d2 in STANDARD_SHAPES:
+        alpha = complex_gaussian(d1 * d2, 1, np.random.default_rng(d1 * d2 + 1))[:, 0]
+        bases = BasisPair.standard(d1, d2)
+        for i in range(d1):
+            assert np.array_equal(partial_slice(i, alpha, bases), alpha[i * d2 : (i + 1) * d2])
 
 
 def test_partial_slice_index_range():
@@ -259,7 +272,7 @@ def test_closed_forms_beyond_the_old_kron_cap(d1, d2):
     alpha = complex_gaussian(d1 * d2, 1, np.random.default_rng(d1 * d2 + 1))[:, 0]
     for b1 in (Basis.standard(d1), random_pair.b1):
         bases = BasisPair(b1, random_pair.b2)
-        other = BasisPair(b1, Basis.random(d2, d1 + 3 * d2 + 1))
+        other = BasisPair(b1, Basis(random_unitary(d2, d1 + 3 * d2 + 1)))
         v = vec_j(a, bases)
         assert np.abs(v - vec_t(a, b1)).max() < 1e-13
         assert np.array_equal(vec_j(a, other), v)
@@ -273,7 +286,7 @@ def test_closed_forms_beyond_the_old_kron_cap(d1, d2):
 
 
 def test_basis_conjugation_matrix():
-    b = Basis.random(4, 3)
+    b = Basis(random_unitary(4, 3))
     assert np.abs(b.conjugation - b.u @ b.u.T).max() == 0
     phi = complex_gaussian(4, 1, np.random.default_rng(4))[:, 0]
     assert np.abs(b.conjugation @ phi.conj() - conjugate_in_basis(b, phi)).max() < 1e-13
