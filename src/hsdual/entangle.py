@@ -17,6 +17,9 @@ from .linalg import DimensionMismatchError, as_vector, svd
 from .superop import HSMap
 from .vectorize import BasisPair, devec_jstar, vec_j
 
+# A Schmidt coefficient counts towards the rank above this times their norm.
+RANK_CUTOFF = 1e-10
+
 
 class SchmidtResult(NamedTuple):
     """Singular values plus the two orthonormal vector families.
@@ -41,7 +44,7 @@ def _check_finite(lambdas: np.ndarray) -> None:
 
 
 def rank_from_lambdas(lambdas: np.ndarray) -> int:
-    """Number of Schmidt coefficients above 1e-10 times their norm.
+    """Number of Schmidt coefficients above RANK_CUTOFF times their norm.
 
     The norm is taken as lambda_max * ||lambda / lambda_max||, whose sum of
     squares cannot overflow however large the coefficients are.  A coefficient
@@ -51,7 +54,7 @@ def rank_from_lambdas(lambdas: np.ndarray) -> int:
     top = float(np.max(lambdas, initial=0.0))
     if top == 0.0:
         return 0
-    return int(np.count_nonzero(lambdas > 1e-10 * top * float(np.linalg.norm(lambdas / top))))
+    return int(np.count_nonzero(lambdas > RANK_CUTOFF * top * float(np.linalg.norm(lambdas / top))))
 
 
 def schmidt(alpha, bases: BasisPair) -> SchmidtResult:
@@ -73,7 +76,7 @@ def schmidt(alpha, bases: BasisPair) -> SchmidtResult:
 
 
 def schmidt_rank(alpha, d1: int, d2: int) -> int:
-    """Number of Schmidt coefficients above 1e-10 times their norm.
+    """Number of Schmidt coefficients above RANK_CUTOFF times their norm.
 
     Basis independent; the zero vector has rank 0.  A vector is entangled iff
     the rank is at least 2.

@@ -56,28 +56,12 @@ def _header(obj, kind: str, *sizes: str) -> list[int]:
     return out
 
 
-def _check_entries(data: list, cols: int) -> None:
-    """Raise the error for the first row or entry that is not a list of cols
-    [re, im] pairs of numbers."""
-    for r, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise FormatError(f"row {r} must be a list of {cols} entries")
-        for c, entry in enumerate(row):
-            if not (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and type(entry[0]) in (int, float)
-                and type(entry[1]) in (int, float)
-            ):
-                raise FormatError(f"entry ({r},{c}) must be a [re, im] pair of numbers")
-
-
 def _pair_parts(data: list, cols: int) -> list | None:
     """The flat [re, im, re, im, ...] list if every row is a list of cols
-    [re, im] pairs of numbers, else None; checked a level at a time in bulk.
-
-    The types of the parts are checked, not only what np.array takes as a
-    float: it would read true as 1.0, null as nan and "1" as 1.0.
+    [re, im] pairs of numbers, else None: the entry rule, checked a level at a
+    time in bulk, which _matrix asks again of one row or entry to word an error.
+    Types are checked, not only what np.array takes as a float: it would read
+    true as 1.0, null as nan and "1" as 1.0.
     """
     if {*map(type, data)} != {list} or {*map(len, data)} != {cols}:
         return None
@@ -94,8 +78,12 @@ def _matrix(obj) -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows:
         raise FormatError("data must be a list with one entry per row")
     flat = _pair_parts(data, cols)
-    if flat is None:
-        _check_entries(data, cols)  # raises, naming the first bad row or entry
+    if flat is None:  # some row is refused: its shape, or else one of its entries
+        r = next(r for r, row in enumerate(data) if _pair_parts([row], cols) is None)
+        if type(data[r]) is not list or len(data[r]) != cols:
+            raise FormatError(f"row {r} must be a list of {cols} entries")
+        c = next(c for c, entry in enumerate(data[r]) if _pair_parts([[entry]], 1) is None)
+        raise FormatError(f"entry ({r},{c}) must be a [re, im] pair of numbers")
     try:
         parts = np.array(flat, dtype=float).reshape(rows, cols, 2)
     except OverflowError:

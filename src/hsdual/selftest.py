@@ -51,7 +51,7 @@ from .vectorize import (
     partial_slice_adjoint,
     vec_j,
 )
-from .entangle import schmidt, schmidt_rank
+from .entangle import RANK_CUTOFF, schmidt, schmidt_rank
 from .paper import choi_of_map, devec_via_slices, kraus_to_r, lift_r, phi_plus, vec_t
 
 
@@ -223,6 +223,58 @@ def vectorization_at_the_cli_limit(rng, n):
             yield _dist(vec_j(a, bases), vec_t(a, bases.b1))
             slices = [partial_slice(i, alpha, bases) for i in range(d1)]
             yield _dist(sum(np.kron(col, s) for col, s in zip(bases.b1.u.T, slices)), alpha)
+
+
+# Hard inputs, registered under vectorize: the byte corpus pins the entangle
+# suite's output, and the --suite error lists every suite name.
+HARD_PAIRS = ((2, 3), (8, 8), (5, 7), (32, 32), (16, 64))  # (d1, d2), up to the kron cap
+
+
+@register("vectorize", 1, bound=0.0)
+def exact_scale_covariance(rng, n):
+    """Scaling by a power of two commutes with each basis change and lift, bit
+    for bit: vec_j, devec_jstar and every partial_slice of 2^k x are 2^k times
+    those of x (k = +-500, random bases at HARD_PAIRS), and kraus_to_r_kron (a
+    random basis) and choi_map of 2^k M are 2^2k times those of M (k = +-250,
+    d = 2 ... 32).  Each result is scaled back, exactly, before comparing."""
+
+    def basis_changes(a, alpha, bases):
+        slices = [partial_slice(i, alpha, bases) for i in range(bases.d1)]
+        return [vec_j(a, bases), devec_jstar(alpha, bases), *slices]
+
+    for d1, d2 in HARD_PAIRS:
+        for _ in range(n):
+            bases = _random_pair(d1, d2, rng)
+            a, alpha = complex_gaussian(d2, d1, rng), _vector(d1 * d2, rng)
+            ref = basis_changes(a, alpha, bases)
+            for s in (2.0**500, 2.0**-500):
+                yield max(_dist(x / s, y) for x, y in zip(basis_changes(s * a, s * alpha, bases), ref))
+    for d in range(2, 33):
+        for _ in range(n):
+            ms = complex_gaussian(2 * d, d, rng).reshape(2, d, d)
+            basis = Basis(random_unitary(d, rng))
+            r, c = kraus_to_r_kron(ms, basis), choi_map(ms)
+            for s in (2.0**250, 2.0**-250):
+                yield _dist(kraus_to_r_kron(s * ms, basis) / s**2, r)
+                yield _dist(choi_map(s * ms) / s**2, c)
+
+
+@register("vectorize", 1, bound=0.5)
+def schmidt_rank_at_its_cutoff(rng, n):
+    """alpha = sum_i lambda_i x_i (x) y_i, for orthonormal x_i and y_i and
+    lambda = (1, 1/2, 4c, c/4) with c = RANK_CUTOFF ||lambda||, has rank 3 by
+    schmidt in random bases and by schmidt_rank, at HARD_PAIRS but (2, 3) and
+    at (4, 4) (deviation 1 if either is not 3)."""
+    lam = np.array([1.0, 0.5, 0.0, 0.0])
+    c = RANK_CUTOFF * np.linalg.norm(lam)  # the two small ones add 1e-20 to the norm
+    lam[2:] = 4 * c, c / 4
+    for d1, d2 in ((4, 4), *HARD_PAIRS[1:]):
+        for _ in range(n):
+            bases = _random_pair(d1, d2, rng)
+            x, y = random_unitary(d1, rng)[:, :4], random_unitary(d2, rng)[:, :4]
+            alpha = ((x * lam) @ y.T).reshape(-1)
+            yield float(schmidt(alpha, bases).rank != 3)
+            yield float(schmidt_rank(alpha, d1, d2) != 3)
 
 
 LIFT_PAIRS = ((2, 2), (3, 3), (3, 2))  # (d1, d2)

@@ -158,8 +158,8 @@ def lower_s(c, bases: BasisPair) -> HSMap:
 
 def kraus_to_r_kron(ms, basis: Basis | None = None) -> np.ndarray:
     """Closed Kronecker form of the R-matrix:
-    sum_k (J M_k^T conj(J)) (x) M_k^*, with J = U U^T for the basis U
-    (J = I for the standard basis, the default).
+    sum_k (J M_k^T conj(J)) (x) M_k^*, with J = U U^T for the basis U.  No
+    basis is the standard one, J = I, taken like any other J (exactly).
 
     The production Kraus -> R path: the k Kronecker products are summed by one
     (d^2 x k) @ (k x d^2) product and an index reshuffle, O(k d^4).
@@ -167,10 +167,8 @@ def kraus_to_r_kron(ms, basis: Basis | None = None) -> np.ndarray:
     m = _kraus(ms, basis, "R-matrix")
     k, d, _ = m.shape
     guard_entries(d**4, "R-matrix")
-    left = m.transpose(0, 2, 1)
-    if basis is not None:
-        j = basis.conjugation
-        left = j @ left @ j.conj()
+    j = (Basis.standard(d) if basis is None else basis).conjugation
+    left = j @ m.transpose(0, 2, 1) @ j.conj()
     right = m.conj().transpose(0, 2, 1)
     # R[(a, b), (c, e)] = sum_k left[k, a, c] * right[k, b, e]
     r = left.reshape(k, d * d).T @ right.reshape(k, d * d)

@@ -93,7 +93,7 @@ class Basis:
 
 class BasisPair(NamedTuple):
     """Bases for the two factors: b1 for H1 (dimension d1), b2 for H2 (d2).
-    Production reads b2 only for d2, devec_jstar's kron and compose's check."""
+    Production reads b2 only for d2 and devec_jstar's kron."""
 
     b1: Basis
     b2: Basis

@@ -37,7 +37,8 @@ def write_channel(path, mats):
 
 # Malformed files, name -> (file kind, text), each to be refused with a
 # FormatError: a bool where a size or the version goes, an integer entry past
-# the double range and JSON nested past the interpreter's recursion limit.
+# the double range, JSON nested past the interpreter's recursion limit and a
+# Kraus block of another size than the channel's dim.
 FAULT_FILES = {
     "rows-true": ("matrix", '{"format": 1, "rows": true, "cols": 1, "data": [[[1, 0]]]}'),
     "entry-401-digits": ("matrix", '{"format": 1, "rows": 1, "cols": 1, "data": [[[' + "9" * 401 + ", 0]]]}"),
@@ -47,6 +48,7 @@ FAULT_FILES = {
         '{"format": 1, "dim": true, "kraus": [{"rows": 1, "cols": 1, "data": [[[1, 0]]]}]}',
     ),
     "format-true": ("matrix", '{"format": true, "rows": 1, "cols": 1, "data": [[[1, 0]]]}'),
+    "block-1x1-in-dim-2": ("channel", '{"format": 1, "dim": 2, "kraus": [{"rows": 1, "cols": 1, "data": [[[1, 0]]]}]}'),
 }
 
 

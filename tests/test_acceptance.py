@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-report.  Criteria 01-12, 14 and 15 run every property of the catalogue in
+report.  Criteria 01-12 and 14-17 run every property of the catalogue in
 hsdual.selftest, which owns their bounds, at larger sizes than selftest and at
 several seeds.
 """
@@ -196,3 +196,13 @@ def test_criterion_14_finite_sections():
 def test_criterion_15_vectorization_at_the_cli_limit():
     holds(3, catalogue.vectorization_at_the_cli_limit)
     report(15, "vectorization at the CLI limit")
+
+
+def test_criterion_16_exact_scale_covariance():
+    holds(2, catalogue.exact_scale_covariance)
+    report(16, "exact scale covariance")
+
+
+def test_criterion_17_schmidt_rank_at_its_cutoff():
+    holds(5, catalogue.schmidt_rank_at_its_cutoff)
+    report(17, "Schmidt rank at its cutoff")

@@ -140,6 +140,14 @@ def test_vec_rejects_non_unitary_basis(cli, tmp_path):
     assert "unitary" in err
 
 
+def test_vec_rejects_a_basis_of_the_wrong_size(cli, tmp_path):
+    mpath = write_matrix(tmp_path / "m.json", np.ones((2, 4)))  # d1 = 4 columns
+    small = write_matrix(tmp_path / "small.json", np.eye(2))
+    code, out, err = cli("vec", mpath, "--basis-h1", small)
+    assert (code, out) == (3, "")
+    assert err == f"error: basis file {small}: shape (2, 2), expected (4, 4)\n"
+
+
 def test_devec_inverse_of_stacking(cli, tmp_path):
     path = write_matrix(tmp_path / "v.json", np.array([1.0, 3.0, 2.0, 4.0]))
     code, out, _ = cli("devec", str(path), "--d1", "2", "--d2", "2")

@@ -45,6 +45,11 @@ def test_zero_vector():
     assert not schmidt_rank(np.zeros(4), 2, 2) >= 2
 
 
+def test_schmidt_rank_refuses_a_vector_of_the_wrong_length():
+    with pytest.raises(DimensionMismatchError, match="^schmidt_rank: vector length != d1\\*d2$"):
+        schmidt_rank(np.ones(5), 2, 3)
+
+
 def test_schmidt_refuses_a_coefficient_past_the_double_range():
     # The top coefficient, sqrt(2) * 1.5e308, overflows inside the SVD, which
     # numpy does not report.

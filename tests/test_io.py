@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import FAULT_FILES
 
 from hsdual.io import FORMAT_VERSION, FormatError, fmt_number, format_matrix, load_matrix, parse_channel, parse_matrix
-from hsdual.io import _check_entries, _pair_parts
+from hsdual.io import _pair_parts
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.inf, -np.inf,
            1e16, -1e16, 1e22, 1 / 3, -2.5e-7, 0.1, 123456789012345678.0]
@@ -220,11 +220,28 @@ def test_parse_channel_returns_arrays_or_raises_format_error(text):
     check_parses_or_refuses(parse_channel, text)
 
 
-# The bulk check of the entries and the loop that words its errors must accept
-# the same data: a file the bulk check refuses goes to the loop, which must
-# raise.
+# The bulk check of the entries and a loop over them, the reference, must
+# accept the same data; where the loop refuses, parse_matrix must name the
+# loop's first offender.
 entry_values = st.lists(numbers, min_size=2, max_size=2) | json_values
 data_values = st.lists(st.lists(entry_values, min_size=1, max_size=3) | json_values, min_size=1, max_size=3)
+
+
+def first_offender(data, cols):
+    """The error for the first row or entry that is not a list of cols
+    [re, im] pairs of numbers, or None when there is none."""
+    for r, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != cols:
+            return f"row {r} must be a list of {cols} entries"
+        for c, entry in enumerate(row):
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and type(entry[0]) in (int, float)
+                and type(entry[1]) in (int, float)
+            ):
+                return f"entry ({r},{c}) must be a [re, im] pair of numbers"
+    return None
 
 
 @FUZZ
@@ -233,12 +250,13 @@ data_values = st.lists(st.lists(entry_values, min_size=1, max_size=3) | json_val
 @example(2, [[[1, 0], [0, None]]])
 @example(1, [[[1, 0, 0]], [[1]]])
 def test_bulk_entry_check_accepts_what_the_entry_loop_accepts(cols, data):
-    try:
-        _check_entries(data, cols)
-        loop_accepts = True
-    except FormatError:
-        loop_accepts = False
+    offender = first_offender(data, cols)
     parts = _pair_parts(data, cols)
-    assert (parts is not None) == loop_accepts
-    if loop_accepts:
+    assert (parts is not None) == (offender is None)
+    if offender is None:
         assert parts == [x for row in data for entry in row for x in entry]
+    else:
+        text = json.dumps({"rows": len(data), "cols": cols, "data": data})
+        with pytest.raises(FormatError) as e:
+            parse_matrix(text)
+        assert str(e.value) == offender

@@ -10,6 +10,7 @@ from hsdual.linalg import (
     hs_inner,
     inner,
     guard_entries,
+    is_hermitian,
     kron,
     min_eigenvalue,
     operator_norm,
@@ -123,6 +124,12 @@ def test_hs_inner_positive_definite():
 def test_hs_inner_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         hs_inner(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionMismatchError, match="^expected a 2-D matrix, got ndim=1$"):
+        hs_inner(np.ones(2), np.eye(2))
+    with pytest.raises(DimensionMismatchError, match=r"^expected a vector, got shape \(2, 2\)$"):
+        inner(np.eye(2), np.ones(2))
+    with pytest.raises(DimensionMismatchError, match=r"^inner: shapes \(2,\) vs \(3,\)$"):
+        inner(np.ones(2), np.ones(3))
 
 
 def test_trace_cyclicity():
@@ -172,6 +179,7 @@ def test_operator_norm():
     _, s, _ = svd(a)
     assert abs(operator_norm(a) - s.max()) < 1e-12
     assert abs(operator_norm(a) - _power_iteration_norm(a)) < 1e-8
+    assert operator_norm(np.zeros((0, 3))) == 0.0
 
 
 def test_is_psd():
@@ -181,6 +189,7 @@ def test_is_psd():
     m = complex_gaussian(4, 4, rng)
     assert psd_check(adjoint(m) @ m).passed
     assert not psd_check(np.array([[0, 1], [0, 0]], dtype=complex)).passed  # non-Hermitian
+    assert not is_hermitian(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("top", [0.0, 1.0, 1e6])
@@ -222,6 +231,8 @@ def test_random_unitary():
     assert not np.array_equal(u, random_unitary(5, 43))
     for d, seed in ((1, 9), (5, 42), (64, 7)):  # a Generator draws as its seed does
         assert np.array_equal(random_unitary(d, np.random.default_rng(seed)), random_unitary(d, seed))
+    with pytest.raises(ValueError, match="^random_unitary: d must be >= 1$"):
+        random_unitary(0, 0)
 
 
 def test_guard_entries_shared_cap():

@@ -84,7 +84,7 @@ SMALL_LITERALS = sorted([
     ("vectorize.Basis.__init__", 1e-10),  # unitary_defect bounds
     ("vectorize.Basis.adapted_to", 1e-10),
     ("cli._load_basis", 1e-8),
-    ("entangle.rank_from_lambdas", 1e-10),  # the Schmidt rank cutoff
+    ("entangle", 1e-10),  # RANK_CUTOFF: the Schmidt rank cutoff
     ("entangle.schmidt", 1e-12),  # the phase cutoff
     ("entangle._check_unit", 1e-8),  # the unit-vector check
     ("bench.run_bench", 1e-8),  # the agreement bound of the two strategies

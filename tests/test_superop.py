@@ -338,6 +338,9 @@ def test_compose_rejects_mismatched_bases():
     b2 = SuperOp(np.eye(4, dtype=complex), BasisPair(Basis(random_unitary(2, 1)), Basis(random_unitary(2, 2))))
     with pytest.raises(DimensionMismatchError):
         compose(b1, b2)
+    b3 = SuperOp(np.eye(9, dtype=complex), BasisPair.standard(3, 3))
+    with pytest.raises(DimensionMismatchError, match="^compose: dimension mismatch$"):
+        compose(b1, b3)
 
 
 def test_zero_dimensional_channel():
@@ -379,6 +382,15 @@ def _kraus_and_bases(d, k, seed):
     return ms, (Basis.standard(d), Basis(random_unitary(d, seed)))
 
 
+def r_without_j(ms):
+    """sum_k M_k^T (x) M_k^*, the closed form with no J: its k Kronecker
+    products summed by one product and reshuffled, as kraus_to_r_kron does."""
+    m = np.asarray(ms, dtype=complex)
+    k, d, _ = m.shape
+    r = m.transpose(0, 2, 1).reshape(k, d * d).T @ m.conj().transpose(0, 2, 1).reshape(k, d * d)
+    return r.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 @pytest.mark.parametrize("d,k", CLOSED_FORM_CASES)
 def test_closed_form_r_matches_oracles(d, k):
     ms, bases = _kraus_and_bases(d, k, 100 * d + k)
@@ -388,8 +400,8 @@ def test_closed_form_r_matches_oracles(d, k):
         assert np.abs(r - kraus_to_r(ms, basis)).max() <= 1e-12 * scale
         assert np.abs(r - lift_r(HSMap.from_kraus(ms), BasisPair(basis, basis))).max() <= 1e-12 * scale
         assert np.array_equal(SuperOp.from_kraus(ms, basis).rmatrix, r)
-    # The standard basis is J = I, exactly the default.
-    assert np.array_equal(kraus_to_r_kron(ms, bases[0]), kraus_to_r_kron(ms))
+    # The standard basis is J = I, exactly: the J-free contraction.
+    assert np.array_equal(kraus_to_r_kron(ms), r_without_j(ms))
 
 
 @pytest.mark.parametrize("d,k", CLOSED_FORM_CASES)
@@ -430,7 +442,7 @@ def test_superoperator_cap_refuses_d33():
         choi_of_map(HSMap.from_kraus(ms), Basis.standard(d))
     assert kraus_to_r_kron([np.eye(32, dtype=complex)]).shape == (1024, 1024)
     ms = complex_gaussian(2 * 32, 32, np.random.default_rng(33)).reshape(2, 32, 32)
-    assert np.array_equal(kraus_to_r_kron(ms, Basis.standard(32)), kraus_to_r_kron(ms))
+    assert np.array_equal(kraus_to_r_kron(ms), r_without_j(ms))
 
 
 def test_lift_r_refuses_before_probing():
@@ -442,6 +454,20 @@ def test_lift_r_refuses_before_probing():
 def test_closed_forms_reject_basis_of_other_dimension():
     with pytest.raises(DimensionMismatchError):
         kraus_to_r_kron([np.eye(2)], Basis.standard(3))
+
+
+WRONG_SHAPES = {
+    "kraus_apply": (lambda: kraus_apply([np.eye(2)], np.eye(3)), r"kraus_apply: state shape \(3, 3\)"),
+    "HSMap": (lambda: HSMap.identity(2, 3)(np.eye(2)), r"HSMap: operand shape \(2, 2\) != \(3, 2\)"),
+    "lower_s": (lambda: lower_s(np.eye(5), BasisPair.standard(2, 2)), r"lower_s: shape \(5, 5\)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_operands_of_the_wrong_shape_are_refused(name):
+    call, message = WRONG_SHAPES[name]
+    with pytest.raises(DimensionMismatchError, match=f"^{message}"):
+        call()
 
 
 def test_choi_map_takes_no_basis_and_normalize_only_by_keyword():

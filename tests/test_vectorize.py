@@ -234,6 +234,8 @@ def test_dimension_mismatches_raise():
         devec_jstar(np.zeros(5), bases)
     with pytest.raises(DimensionMismatchError):
         conjugate_in_basis(Basis.standard(2), np.zeros(3))
+    with pytest.raises(DimensionMismatchError):
+        partial_slice_adjoint(0, np.zeros(2), bases)  # expects length d2 = 3
 
 
 # The last three are the shapes lib-apply runs, up to the kron cap d1*d2 = 1024.
@@ -292,6 +294,7 @@ def test_basis_conjugation_matrix():
     assert np.abs(b.conjugation @ phi.conj() - conjugate_in_basis(b, phi)).max() < 1e-13
     assert np.array_equal(Basis.standard(3).conjugation, np.eye(3))
     assert b.conjugation is b.conjugation  # computed once per basis
+    assert repr(Basis.standard(1)) == "Basis(u=array([[1.+0.j]]))"
 
 
 def test_standard_basis_changes_are_exact_and_fresh():
