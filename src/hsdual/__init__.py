@@ -76,7 +76,7 @@ _EXPORTS = {
         ],
         "entangle",
     ),
-    **dict.fromkeys(["BenchConfig", "BenchReport", "run_bench"], "bench"),
+    "run_bench": "bench",
 }
 
 __all__ = list(_EXPORTS)

@@ -13,45 +13,12 @@ only tested invariant is that both methods agree numerically.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import complex_gaussian, guard_entries
 from .superop import SuperOp, compose, kraus_apply, random_tp_kraus
 from .vectorize import Basis
-
-CSV_COLUMNS = ["dim", "kraus_rank", "chain_length", "t_rmatrix_ns", "t_nested_ns", "max_deviation", "seed"]
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    dim: int
-    kraus_rank: int
-    chain_length: int
-    trials: int = 9
-    seed: int = 0
-
-    def validate(self) -> None:
-        for field in ("dim", "kraus_rank", "chain_length", "trials"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"BenchConfig.{field} must be positive")
-        guard_entries(self.chain_length * self.kraus_rank * self.dim**2, "bench channels")
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    config: BenchConfig
-    t_rmatrix_ns: int
-    t_nested_ns: int
-    max_deviation: float
-
-    def csv_row(self) -> str:
-        c = self.config
-        return (
-            f"{c.dim},{c.kraus_rank},{c.chain_length},"
-            f"{self.t_rmatrix_ns},{self.t_nested_ns},{self.max_deviation:.3e},{c.seed}"
-        )
 
 
 def _median_ns(fn, trials: int) -> int:
@@ -63,12 +30,19 @@ def _median_ns(fn, trials: int) -> int:
     return int(np.median(times))
 
 
-def run_bench(cfg: BenchConfig) -> BenchReport:
-    cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    chains = [random_tp_kraus(cfg.dim, cfg.kraus_rank, rng) for _ in range(cfg.chain_length)]
-    state = complex_gaussian(cfg.dim, cfg.dim, rng)
-    basis = Basis.standard(cfg.dim)
+def run_bench(dim: int, kraus_rank: int, chain_length: int, trials: int = 9, seed: int = 0) -> dict[str, str]:
+    """Push one state drawn from seed through chain_length random trace-preserving
+    channels of kraus_rank dim x dim blocks both ways, trials times each, and
+    return the CSV row: column name -> printed value, in column order.  Raises
+    AssertionError if the two results differ by more than 1e-8 (1 + ||nested||)."""
+    for name, value in (("dim", dim), ("kraus_rank", kraus_rank), ("chain_length", chain_length), ("trials", trials)):
+        if value <= 0:
+            raise ValueError(f"run_bench: {name} must be positive")
+    guard_entries(chain_length * kraus_rank * dim**2, "bench channels")
+    rng = np.random.default_rng(seed)
+    chains = [random_tp_kraus(dim, kraus_rank, rng) for _ in range(chain_length)]
+    state = complex_gaussian(dim, dim, rng)
+    basis = Basis.standard(dim)
 
     def via_rmatrix():
         total = SuperOp.from_kraus(chains[0], basis)
@@ -86,10 +60,14 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     b = via_nested()
     deviation = float(np.abs(a - b).max())
     if deviation > 1e-8 * (1 + np.linalg.norm(b)):
-        raise AssertionError(
-            f"bench: composition strategies disagree (deviation {deviation:.3e})"
-        )
+        raise AssertionError(f"bench: composition strategies disagree (deviation {deviation:.3e})")
 
-    t_r = _median_ns(via_rmatrix, cfg.trials)
-    t_n = _median_ns(via_nested, cfg.trials)
-    return BenchReport(config=cfg, t_rmatrix_ns=t_r, t_nested_ns=t_n, max_deviation=deviation)
+    return {
+        "dim": str(dim),
+        "kraus_rank": str(kraus_rank),
+        "chain_length": str(chain_length),
+        "t_rmatrix_ns": str(_median_ns(via_rmatrix, trials)),
+        "t_nested_ns": str(_median_ns(via_nested, trials)),
+        "max_deviation": f"{deviation:.3e}",
+        "seed": str(seed),
+    }

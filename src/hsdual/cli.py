@@ -172,19 +172,12 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import BenchConfig, CSV_COLUMNS, run_bench
+    from .bench import run_bench
 
     _guard_dims(args.dim)
-    cfg = BenchConfig(
-        dim=args.dim,
-        kraus_rank=args.kraus_rank,
-        chain_length=args.chain_length,
-        trials=args.trials,
-        seed=_seed(args),
-    )
-    report = run_bench(cfg)
-    print(",".join(CSV_COLUMNS))
-    print(report.csv_row())
+    row = run_bench(args.dim, args.kraus_rank, args.chain_length, args.trials, _seed(args))
+    print(",".join(row))
+    print(",".join(row.values()))
     return EXIT_OK
 
 

@@ -30,7 +30,8 @@ def guard_entries(entries: int, what: str) -> None:
         )
 
 
-# The absolute tolerance of the PSD, TP and Hermitian checks.
+# The tolerance of the PSD, TP and Hermitian checks: relative to the largest
+# eigenvalue or entry for PSD and Hermitian, absolute for TP.
 TOL = 1e-10
 
 
@@ -82,12 +83,12 @@ def hs_inner(a, b) -> complex:
 
 
 def is_hermitian(h) -> bool:
-    """h == h* entrywise within TOL + TOL * max(|h|, |h*|)."""
+    """max |h - h*| <= TOL * max |h| over the entries: relative, so a zero
+    matrix passes exactly, and a NaN entry fails."""
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         return False
-    hs = h.conj().T
-    return bool(np.all(np.abs(h - hs) <= TOL + TOL * np.maximum(np.abs(h), np.abs(hs))))
+    return bool(np.max(np.abs(h - h.conj().T), initial=0.0) <= TOL * np.max(np.abs(h), initial=0.0))
 
 
 def unitary_defect(u) -> float:
@@ -130,12 +131,13 @@ class Verdict(NamedTuple):
 
     @classmethod
     def psd(cls, least: float, top: float) -> "Verdict":
-        """The PSD rule: pass iff least >= -TOL * (1 + top), top the largest
-        |eigenvalue|; FloatingPointError, naming that eigenvalue, if top
+        """The PSD rule: pass iff least >= -TOL * top, top the largest
+        |eigenvalue|, so the verdict does not change when the matrix is
+        scaled; FloatingPointError, naming that eigenvalue, if top
         overflowed, which eigvalsh and a product of floats do silently."""
         if not np.isfinite(top):
             raise FloatingPointError("overflow: the largest eigenvalue exceeds the double range")
-        threshold = -TOL * (1 + top)
+        threshold = -TOL * top
         return cls(least >= threshold, least, threshold)
 
     @property

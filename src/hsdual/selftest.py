@@ -483,14 +483,21 @@ def choi_of_transpose_min_eigenvalue(rng, n):
 
 def _cp_channels(rng, n):
     """n random trace-preserving channels at d = 2, 3 of every rank 1 to
-    d^2 + 1, then one at d = 3, k = 9 whose blocks after the first are
-    scaled by 1e-8, so that C's least eigenvalue sits far below rounding."""
+    d^2 + 1; one at d = 3, k = 9 whose blocks after the first are scaled by
+    1e-8, so that C's least eigenvalue sits far below rounding; and one graded
+    channel, M_i = sqrt(p_i) U_i for Haar unitaries U_i and weights p_i
+    proportional to 10^(-12 i / (k - 1)), at d = 2 ... 5 and k = 2, d^2 - 1,
+    d^2 or d^2 + 2, whose C has eigenvalues down to 1e-12 ||C||_2."""
     for _ in range(n):
         d = int(rng.integers(2, 4))
         yield random_tp_kraus(d, int(rng.integers(1, d * d + 2)), rng)
     dominant = random_tp_kraus(3, 9, rng)
     dominant[1:] *= 1e-8
     yield dominant
+    d = int(rng.integers(2, 6))
+    k = int(rng.choice([2, d * d - 1, d * d, d * d + 2]))
+    p = 10.0 ** (-12 * np.arange(k) / (k - 1))
+    yield np.sqrt(p / p.sum())[:, None, None] * np.stack([random_unitary(d, rng) for _ in range(k)])
 
 
 @register("choi", 20, bound=1e-10)
@@ -515,6 +522,21 @@ def choi_closed_form_vs_probe(rng, n):
         d = int(rng.integers(1, 6))
         ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
         yield _dist(choi_map(ms), choi_of_map(HSMap.from_kraus(ms), Basis.standard(d)))
+
+
+@register("choi", 20, bound=0.0)
+def verdicts_under_exact_scaling(rng, n):
+    """No verdict changes when its input is scaled by a power of two: psd_check
+    of 2^+-500 H is that of H, for Choi's matrix of the 2 x 2 transpose map and
+    of each channel the choi-positivity property draws, and check_cp of
+    2^+-250 M is that of M (deviation 1 for each verdict that differs)."""
+    transpose = _choi_2(HSMap(2, 2, lambda a: a.T.copy()))
+    for h in (transpose, *map(choi_map, _cp_channels(rng, n))):
+        for s in (2.0**500, 2.0**-500):
+            yield float(psd_check(s * h).passed != psd_check(h).passed)
+    for ms in _cp_channels(rng, n):
+        for s in (2.0**250, 2.0**-250):
+            yield float(check_cp(s * ms).passed != check_cp(ms).passed)
 
 
 def _schmidt_pairs(rng, n):

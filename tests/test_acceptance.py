@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-report.  Criteria 01-12 and 14-17 run every property of the catalogue in
+report.  Criteria 01-12 and 14-18 run every property of the catalogue in
 hsdual.selftest, which owns their bounds, at larger sizes than selftest and at
 several seeds.
 """
@@ -206,3 +206,8 @@ def test_criterion_16_exact_scale_covariance():
 def test_criterion_17_schmidt_rank_at_its_cutoff():
     holds(5, catalogue.schmidt_rank_at_its_cutoff)
     report(17, "Schmidt rank at its cutoff")
+
+
+def test_criterion_18_verdicts_under_exact_scaling():
+    holds(100, catalogue.verdicts_under_exact_scaling)
+    report(18, "PSD and CP verdicts under exact scaling")

@@ -358,7 +358,7 @@ def test_selftest_names_what_each_value_is(cli):
     # The PSD property reports a least eigenvalue held from below; every other
     # property its worst deviation held from above.
     code, out, _ = cli("selftest", "--suite", "superop", "--seed", "0")
-    psd = "superop.complete-positivity-block-psd: PASS (least eigenvalue = 8.678e-03, threshold = -7.9e-09)"
+    psd = "superop.complete-positivity-block-psd: PASS (least eigenvalue = 8.678e-03, threshold = -7.8e-09)"
     assert code == 0 and psd in out.splitlines()
     assert [line for line in out.splitlines() if line != psd and "(max deviation = " not in line] == []
 
@@ -438,6 +438,10 @@ def test_superoperator_commands_at_d65_are_capped_by_entries_alone(cli, tmp_path
 
 def test_bench_dim_0_is_a_dimension_error(cli):
     assert cli("bench", "--dim", "0", "--trials", "1") == (3, "", "error: dimensions must be positive\n")
+
+
+def test_bench_trials_0_exits_2_naming_the_function(cli):
+    assert cli("bench", "--trials", "0") == (2, "", "error: run_bench: trials must be positive\n")
 
 
 def test_negative_digits_exits_2(cli, tmp_path):

@@ -142,8 +142,6 @@ def test_package_exports_resolve_with_bench_loaded_on_demand():
     assert [name for name in hsdual.__all__ if name not in names] == []
     bench = importlib.import_module("hsdual.bench")
     assert hsdual.run_bench is bench.run_bench
-    assert hsdual.BenchConfig is bench.BenchConfig
-    assert hsdual.BenchReport is bench.BenchReport
     with pytest.raises(AttributeError, match="no_such_name"):
         hsdual.no_such_name
 

@@ -194,9 +194,31 @@ def test_is_psd():
 
 @pytest.mark.parametrize("top", [0.0, 1.0, 1e6])
 def test_psd_rule_holds_at_its_edge(top):
-    edge = -1e-10 * (1 + top)
+    edge = -1e-10 * top
     assert Verdict.psd(edge, top) == (True, edge, edge)
     assert not Verdict.psd(np.nextafter(edge, -np.inf), top).passed
+
+
+# Choi's matrix of the 2 x 2 transpose map, the swap: least eigenvalue -1.
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def test_psd_and_hermitian_rules_are_relative():
+    # Small matrices are held to the same rule as large ones: no absolute
+    # tolerance lets a tiny negative eigenvalue or a tiny skew part through.
+    assert not psd_check(1e-12 * SWAP).passed
+    assert not is_hermitian(1e-11 * np.array([[0, 1], [-1, 0]]))
+    assert not psd_check(1e-11 * np.array([[1, 1], [-1, 1]])).passed
+    assert is_hermitian(np.zeros((3, 3))) and psd_check(np.zeros((3, 3))) == (True, 0.0, -0.0)
+    assert is_hermitian(np.zeros((0, 0)))
+    assert not is_hermitian(np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_hermitian_rule_holds_at_its_edge_at_every_scale():
+    for s in (1.0, 2.0**500, 2.0**-500):
+        edge = s * np.array([[1, 0], [1e-10, 1]])
+        assert is_hermitian(edge)
+        assert not is_hermitian(s * np.array([[1, 0], [np.nextafter(1e-10, 1), 1]]))
 
 
 def test_tp_rule_holds_at_its_edge():
@@ -250,10 +272,10 @@ def test_psd_check_verdict_fields():
     v = psd_check(h)
     assert v.passed
     assert v.value == min_eigenvalue(h)
-    # The threshold scales with the norm of the Hermitian part, max |eigenvalue|.
-    assert abs(v.threshold + 1e-10 * (1 + operator_norm(h))) < 1e-20 * (1 + operator_norm(h))
+    # The threshold is relative to the norm of the Hermitian part, max |eigenvalue|.
+    assert abs(v.threshold + 1e-10 * operator_norm(h)) < 1e-20 * operator_norm(h)
     neg = psd_check(np.diag([2.0, -3.0]))
-    assert not neg.passed and neg.value == -3.0 and neg.threshold == -1e-10 * 4
+    assert not neg.passed and neg.value == -3.0 and neg.threshold == -1e-10 * 3
     skew = psd_check(np.array([[1, 1], [0, 1]], dtype=complex))
     assert not skew.passed  # not Hermitian, whatever the spectrum of its Hermitian part
     for shape in ((2, 3), (0, 0)):

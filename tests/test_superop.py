@@ -302,6 +302,21 @@ def test_choi_requires_square():
         choi_of_map(HSMap.identity(3, 2), Basis.standard(3))
 
 
+@pytest.mark.parametrize(
+    "oracle, message",
+    [
+        (lambda: vec_t(np.eye(2, 3), Basis.standard(2)), "vec_t: operator/basis dimension mismatch"),
+        (lambda: lift_r(HSMap.identity(3, 2), BasisPair.standard(2, 3)), "lift_r: map and bases dimensions differ"),
+        (lambda: m_alpha([np.eye(2)], np.zeros(3), Basis.standard(2)), "m_alpha: vector length != d\\*d"),
+        (lambda: choi_of_vector(np.eye(2, 3), Basis.standard(2)), "choi_of_vector: requires a d x d operator"),
+    ],
+    ids=["vec_t", "lift_r", "m_alpha", "choi_of_vector"],
+)
+def test_paper_oracles_refuse_mismatched_dimensions(oracle, message):
+    with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+        oracle()
+
+
 def test_choi_of_vector():
     basis = Basis.standard(2)
     assert np.array_equal(choi_of_vector(np.eye(2), basis), np.array([1, 0, 0, 1], dtype=complex))
@@ -436,7 +451,7 @@ def test_superoperator_cap_refuses_d33():
     # C = d^2 vec(I) vec(I)* of rank 1 and norm d^3.
     v = check_cp(np.broadcast_to(ms[0], (d * d, d, d)))
     assert v.passed and v.value == 0.0
-    assert abs(v.threshold + TOL * (1 + d**3)) <= 1e-12 * TOL * (1 + d**3)
+    assert abs(v.threshold + TOL * d**3) <= 1e-12 * TOL * d**3
     assert check_cp(ms).passed
     with pytest.raises(DimensionMismatchError, match="Choi matrix would have"):
         choi_of_map(HSMap.from_kraus(ms), Basis.standard(d))
