@@ -30,10 +30,11 @@ def _median_ns(fn, trials: int) -> int:
     return int(np.median(times))
 
 
-def run_bench(dim: int, kraus_rank: int, chain_length: int, trials: int = 9, seed: int = 0) -> dict[str, str]:
+def run_bench(dim: int, kraus_rank: int, chain_length: int, trials: int = 9, seed: int = 0) -> dict[str, int | float]:
     """Push one state drawn from seed through chain_length random trace-preserving
     channels of kraus_rank dim x dim blocks both ways, trials times each, and
-    return the CSV row: column name -> printed value, in column order.  Raises
+    return the CSV row: column name -> value, in column order; max_deviation is
+    a float, every other value an int (median timings in ns).  Raises
     AssertionError if the two results differ by more than 1e-8 (1 + ||nested||)."""
     for name, value in (("dim", dim), ("kraus_rank", kraus_rank), ("chain_length", chain_length), ("trials", trials)):
         if value <= 0:
@@ -63,11 +64,11 @@ def run_bench(dim: int, kraus_rank: int, chain_length: int, trials: int = 9, see
         raise AssertionError(f"bench: composition strategies disagree (deviation {deviation:.3e})")
 
     return {
-        "dim": str(dim),
-        "kraus_rank": str(kraus_rank),
-        "chain_length": str(chain_length),
-        "t_rmatrix_ns": str(_median_ns(via_rmatrix, trials)),
-        "t_nested_ns": str(_median_ns(via_nested, trials)),
-        "max_deviation": f"{deviation:.3e}",
-        "seed": str(seed),
+        "dim": dim,
+        "kraus_rank": kraus_rank,
+        "chain_length": chain_length,
+        "t_rmatrix_ns": _median_ns(via_rmatrix, trials),
+        "t_nested_ns": _median_ns(via_nested, trials),
+        "max_deviation": deviation,
+        "seed": seed,
     }

@@ -177,7 +177,7 @@ def cmd_bench(args) -> int:
     _guard_dims(args.dim)
     row = run_bench(args.dim, args.kraus_rank, args.chain_length, args.trials, _seed(args))
     print(",".join(row))
-    print(",".join(row.values()))
+    print(",".join(f"{v:.3e}" if isinstance(v, float) else str(v) for v in row.values()))
     return EXIT_OK
 
 

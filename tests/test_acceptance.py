@@ -210,4 +210,4 @@ def test_criterion_17_schmidt_rank_at_its_cutoff():
 
 def test_criterion_18_verdicts_under_exact_scaling():
     holds(100, catalogue.verdicts_under_exact_scaling)
-    report(18, "PSD and CP verdicts under exact scaling")
+    report(18, "PSD verdicts under exact scaling")

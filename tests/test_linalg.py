@@ -221,6 +221,14 @@ def test_hermitian_rule_holds_at_its_edge_at_every_scale():
         assert not is_hermitian(s * np.array([[1, 0], [np.nextafter(1e-10, 1), 1]]))
 
 
+def test_hermitian_rule_is_relative_to_the_largest_entry_not_each_entry():
+    # A skew part up to TOL * max |h| passes wherever it sits, even where it
+    # dwarfs its own entry; a rule held per entry would refuse this matrix.
+    h = np.array([[1e6, 1e-5], [0, 1]])
+    assert is_hermitian(h) and psd_check(h).passed
+    assert not is_hermitian(np.array([[1e6, 1.01e-4], [0, 1]]))
+
+
 def test_tp_rule_holds_at_its_edge():
     assert tp_verdict(2e-10) == (True, 2e-10, 2e-10)
     assert not tp_verdict(np.nextafter(2e-10, 1)).passed
