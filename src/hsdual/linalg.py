@@ -100,6 +100,13 @@ def unitary_defect(u) -> float:
     return np.inf if np.isnan(defect) else defect
 
 
+def nearest_unitary(u) -> np.ndarray:
+    """The unitary factor W V* of u's polar decomposition, from the SVD
+    u = W S V*: the unitary nearest u."""
+    w, _, vh = np.linalg.svd(as_matrix(u))
+    return w @ vh
+
+
 def svd(a):
     """Thin SVD.  Returns (u, s, v) with a == u @ diag(s) @ v.conj().T,
     u and v having orthonormal columns and s nonnegative descending."""

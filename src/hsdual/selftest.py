@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    TOL,
     Verdict,
     adjoint,
     complex_gaussian,
@@ -27,6 +28,7 @@ from .linalg import (
     inner,
     kron,
     min_eigenvalue,
+    nearest_unitary,
     operator_norm,
     psd_check,
     random_unitary,
@@ -55,30 +57,23 @@ from .entangle import RANK_CUTOFF, schmidt, schmidt_rank
 from .paper import choi_of_map, devec_via_slices, kraus_to_r, lift_r, phi_plus, vec_t
 
 
-# Each suite's properties, in print order, with the size selftest runs each at
-# and what the value of its verdict is.
-SUITES: dict[str, list[tuple[Callable[..., Verdict], int, str]]] = {}
+# Each suite's properties, in print order, with the size selftest runs each at.
+SUITES: dict[str, list[tuple[Callable[..., Verdict], int]]] = {}
 
 
-def register(suite: str, size: int, bound: float | None = None):
+def register(suite: str, size: int, bound: float):
     """Add the decorated property to suite, where selftest runs it at size.
 
-    With a bound, the function yields deviations, and the property holds the
-    worst of them to bound with ``Verdict.at_most`` (a NaN fails).  Without
-    one, the function returns a ``psd_check`` Verdict itself, whose value is a
-    least eigenvalue held from below.
+    The function yields deviations, and the property holds the worst of them
+    to bound with ``Verdict.at_most`` (a NaN fails).
     """
 
     def wrap(fn):
-        prop, value = fn, "least eigenvalue"
-        if bound is not None:
-            value = "max deviation"
+        @functools.wraps(fn)
+        def prop(rng, n: int) -> Verdict:
+            return Verdict.at_most(float(np.max([*fn(rng, n)])), bound)
 
-            @functools.wraps(fn)
-            def prop(rng, n: int) -> Verdict:
-                return Verdict.at_most(float(np.max([*fn(rng, n)])), bound)
-
-        SUITES.setdefault(suite, []).append((prop, size, value))
+        SUITES.setdefault(suite, []).append((prop, size))
         return prop
 
     return wrap
@@ -230,6 +225,12 @@ def vectorization_at_the_cli_limit(rng, n):
 HARD_PAIRS = ((2, 3), (8, 8), (5, 7), (32, 32), (16, 64))  # (d1, d2), up to the kron cap
 
 
+def _basis_changes(a, alpha, bases: BasisPair) -> list[np.ndarray]:
+    """vec_j of a, devec_jstar of alpha and every partial_slice of alpha."""
+    slices = [partial_slice(i, alpha, bases) for i in range(bases.d1)]
+    return [vec_j(a, bases), devec_jstar(alpha, bases), *slices]
+
+
 @register("vectorize", 1, bound=0.0)
 def exact_scale_covariance(rng, n):
     """Scaling by a power of two commutes with each basis change and lift, bit
@@ -237,18 +238,13 @@ def exact_scale_covariance(rng, n):
     those of x (k = +-500, random bases at HARD_PAIRS), and kraus_to_r_kron (a
     random basis) and choi_map of 2^k M are 2^2k times those of M (k = +-250,
     d = 2 ... 32).  Each result is scaled back, exactly, before comparing."""
-
-    def basis_changes(a, alpha, bases):
-        slices = [partial_slice(i, alpha, bases) for i in range(bases.d1)]
-        return [vec_j(a, bases), devec_jstar(alpha, bases), *slices]
-
     for d1, d2 in HARD_PAIRS:
         for _ in range(n):
             bases = _random_pair(d1, d2, rng)
             a, alpha = complex_gaussian(d2, d1, rng), _vector(d1 * d2, rng)
-            ref = basis_changes(a, alpha, bases)
+            ref = _basis_changes(a, alpha, bases)
             for s in (2.0**500, 2.0**-500):
-                yield max(_dist(x / s, y) for x, y in zip(basis_changes(s * a, s * alpha, bases), ref))
+                yield max(_dist(x / s, y) for x, y in zip(_basis_changes(s * a, s * alpha, bases), ref))
     for d in range(2, 33):
         for _ in range(n):
             ms = complex_gaussian(2 * d, d, rng).reshape(2, d, d)
@@ -275,6 +271,50 @@ def schmidt_rank_at_its_cutoff(rng, n):
             alpha = ((x * lam) @ y.T).reshape(-1)
             yield float(schmidt(alpha, bases).rank != 3)
             yield float(schmidt_rank(alpha, d1, d2) != 3)
+
+
+@register("vectorize", 1, bound=2.001)
+def snapped_basis_perturbation(rng, n):
+    """A basis U perturbed by E = 1e-9 G, G complex Gaussian, and snapped to
+    the polar factor V of U + E, as a basis file is, moves vec_j, devec_jstar
+    and every partial_slice of a unit x by at most 2 ||E1||_F (VEC_PAIRS and
+    (32, 32), both bases perturbed).  In exact arithmetic they depend on U1
+    alone, through J1 = U1 U1^T and its columns, so they move by (2 + m) m
+    for m = ||V1 - U1||_2, and m <= (1 + ||E1||_2) ||E1||_F by Li's polar
+    factor bound.  Each deviation is over ||E1||_F, about 1e-9 d1; the bound's
+    0.001 above 2 covers rounding, about n u over ||E1||_F."""
+    for d1, d2 in (*VEC_PAIRS, (32, 32)):
+        for _ in range(n):
+            us = random_unitary(d1, rng), random_unitary(d2, rng)
+            moves = 1e-9 * complex_gaussian(d1, d1, rng), 1e-9 * complex_gaussian(d2, d2, rng)
+            snapped = BasisPair(*(Basis(nearest_unitary(u + e)) for u, e in zip(us, moves)))
+            a, alpha = complex_gaussian(d2, d1, rng), _vector(d1 * d2, rng)
+            a, alpha = a / np.linalg.norm(a), alpha / np.linalg.norm(alpha)
+            ref = _basis_changes(a, alpha, BasisPair(*map(Basis, us)))
+            yield max(map(_dist, _basis_changes(a, alpha, snapped), ref)) / np.linalg.norm(moves[0])
+
+
+@register("vectorize", 1, bound=1e-10)
+def schmidt_graded_spectra(rng, n):
+    """alpha = sum_i lambda_i x_i (x) y_i, for orthonormal x_i and y_i and
+    lambda_i = 10^(-12 i / (r - 1)), r = min(d1, d2), in random bases at
+    HARD_PAIRS: schmidt rebuilds alpha and finds the lambda_i, both relative
+    to ||alpha||, its two families are orthonormal, and sum_i lambda_i^2 =
+    ||alpha||^2, relative."""
+    for d1, d2 in HARD_PAIRS:
+        r = min(d1, d2)
+        lam = 10.0 ** (-12 * np.arange(r) / (r - 1))
+        for _ in range(n):
+            bases = _random_pair(d1, d2, rng)
+            x, y = random_unitary(d1, rng)[:, :r], random_unitary(d2, rng)[:, :r]
+            alpha = ((x * lam) @ y.T).reshape(-1)
+            norm = np.linalg.norm(alpha)
+            res = schmidt(alpha, bases)
+            yield _dist(((res.left * res.lambdas) @ res.right.T).reshape(-1), alpha) / norm
+            yield _dist(res.lambdas, lam) / norm
+            for family in (res.left, res.right):
+                yield _dist(adjoint(family) @ family, np.eye(r))
+            yield abs(np.sum(res.lambdas**2) - norm**2) / norm**2
 
 
 LIFT_PAIRS = ((2, 2), (3, 3), (3, 2))  # (d1, d2)
@@ -348,23 +388,36 @@ def lift_hs_inner_preservation(rng, n):
         yield _rel(hs_inner(r1, r1), hs_inner(m1, m1))
 
 
-@register("superop", 10)
-def complete_positivity_block_psd(rng, n) -> Verdict:
-    """sum_ij B_i* R(A_i* A_j) B_j is PSD (d = 2, one to three terms): the
-    psd_check verdict of the block nearest its bound, a failing one first."""
-    verdicts = []
+def _cp_blocks(rng, n):
+    """n blocks sum_ij B_i* R(A_i* A_j) B_j, each of one to three terms for
+    Gaussian A_i, B_i on 2 x 2 operators, lifted in a random pair of bases."""
     for _ in range(n):
         bases = _random_pair(2, 2, rng)
         k = int(rng.integers(1, 4))
         amats = [complex_gaussian(4, 4, rng) for _ in range(k)]
         bops = [complex_gaussian(4, 4, rng) for _ in range(k)]
-        block = sum(
+        yield sum(
             adjoint(bops[i]) @ _lift(adjoint(amats[i]) @ amats[j], bases) @ bops[j]
             for i in range(k)
             for j in range(k)
         )
-        verdicts.append(psd_check(block))
-    return min(verdicts, key=lambda v: (v.passed, v.value - v.threshold))
+
+
+def _psd_deviation(h) -> float:
+    """-lambda_min / ||H||_2 of h's Hermitian part H when psd_check passes h, 0
+    for a zero matrix, inf when psd_check refuses h: at most TOL exactly when
+    psd_check passes, since TOL * (least / threshold) is TOL at the edge."""
+    v = psd_check(h)
+    if not v.passed:
+        return np.inf
+    return TOL * (v.value / v.threshold) if v.threshold else 0.0
+
+
+@register("superop", 10, bound=TOL)
+def complete_positivity_block_psd(rng, n):
+    """sum_ij B_i* R(A_i* A_j) B_j is PSD, by psd_check of each block."""
+    for block in _cp_blocks(rng, n):
+        yield _psd_deviation(block)
 
 
 @register("superop", 15, bound=1e-10)
@@ -650,12 +703,11 @@ def section_norms_exhibit(rng, n):
     yield 0.0 if settles and grows else 1.0
 
 
-def run_suites(names: list[str], seed: int) -> list[tuple[str, str, str, Verdict]]:
-    """(suite, property, what its value is, verdict) for every property of the
-    named suites, in order, each at its selftest size on a generator seeded
-    with seed."""
+def run_suites(names: list[str], seed: int) -> list[tuple[str, str, Verdict]]:
+    """(suite, property, verdict) for every property of the named suites, in
+    order, each at its selftest size on a generator seeded with seed."""
     return [
-        (suite, fn.__name__.replace("_", "-"), value, fn(np.random.default_rng(seed), n))
+        (suite, fn.__name__.replace("_", "-"), fn(np.random.default_rng(seed), n))
         for suite in names
-        for fn, n, value in SUITES[suite]
+        for fn, n in SUITES[suite]
     ]

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-report.  Criteria 01-12 and 14-18 run every property of the catalogue in
+report.  Criteria 01-12 and 14-20 run every property of the catalogue in
 hsdual.selftest, which owns their bounds, at larger sizes than selftest and at
 several seeds.
 """
@@ -211,3 +211,13 @@ def test_criterion_17_schmidt_rank_at_its_cutoff():
 def test_criterion_18_verdicts_under_exact_scaling():
     holds(100, catalogue.verdicts_under_exact_scaling)
     report(18, "PSD verdicts under exact scaling")
+
+
+def test_criterion_19_snapped_basis_perturbation():
+    holds(3, catalogue.snapped_basis_perturbation)
+    report(19, "basis changes under a perturbed and snapped basis")
+
+
+def test_criterion_20_schmidt_graded_spectra():
+    holds(3, catalogue.schmidt_graded_spectra)
+    report(20, "Schmidt decomposition of graded spectra")

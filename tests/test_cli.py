@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -355,12 +356,13 @@ def test_selftest_single_suite(cli):
 
 
 def test_selftest_names_what_each_value_is(cli):
-    # The PSD property reports a least eigenvalue held from below; every other
-    # property its worst deviation held from above.
-    code, out, _ = cli("selftest", "--suite", "superop", "--seed", "0")
-    psd = "superop.complete-positivity-block-psd: PASS (least eigenvalue = 8.678e-03, threshold = -7.8e-09)"
-    assert code == 0 and psd in out.splitlines()
-    assert [line for line in out.splitlines() if line != psd and "(max deviation = " not in line] == []
+    # Every property reports its worst deviation, held from above; the CP
+    # block property's is -lambda_min / ||H||_2, negative when it passes.
+    code, out, _ = cli("selftest", "--seed", "0")
+    line = re.compile(r"[a-z]+\.[a-z-]+: PASS \(max deviation = -?\d\.\d{3}e[+-]\d\d, threshold = \d\.\de[+-]\d\d\)")
+    assert code == 0 and [x for x in out.splitlines() if not line.fullmatch(x)] == []
+    assert "superop.complete-positivity-block-psd: PASS (max deviation = -" in out
+    assert len(out.splitlines()) == sum(map(len, SUITES.values()))
 
 
 def test_every_traced_cli_name_is_an_attribute_of_the_cli(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from hsdual.linalg import (
     MAX_KRON_ENTRIES,
+    TOL,
     DimensionMismatchError,
     Verdict,
     adjoint,
@@ -13,12 +14,14 @@ from hsdual.linalg import (
     is_hermitian,
     kron,
     min_eigenvalue,
+    nearest_unitary,
     operator_norm,
     psd_check,
     random_unitary,
     svd,
     unitary_defect,
 )
+from hsdual import selftest as catalogue
 from hsdual.superop import tp_verdict
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -227,6 +230,38 @@ def test_hermitian_rule_is_relative_to_the_largest_entry_not_each_entry():
     h = np.array([[1e6, 1e-5], [0, 1]])
     assert is_hermitian(h) and psd_check(h).passed
     assert not is_hermitian(np.array([[1e6, 1.01e-4], [0, 1]]))
+
+
+@pytest.mark.parametrize("n", [10, 25])
+@pytest.mark.parametrize("seed", range(3))
+def test_cp_block_property_agrees_with_psd_check_on_its_draws(seed, n):
+    # The property passes a block exactly when psd_check does, with the
+    # scale-free value -lambda_min / ||H||_2, so it passes exactly when
+    # psd_check passes every block it draws.
+    blocks = list(catalogue._cp_blocks(np.random.default_rng(seed), n))
+    values = [catalogue._psd_deviation(b) for b in blocks]
+    assert [value <= TOL for value in values] == [psd_check(b).passed for b in blocks]
+    for b, value in zip(blocks, values):
+        assert value == pytest.approx(-min_eigenvalue(b) / operator_norm((b + adjoint(b)) / 2), rel=1e-9)
+    verdict = catalogue.complete_positivity_block_psd(np.random.default_rng(seed), n)
+    assert verdict == Verdict.at_most(max(values), TOL) and verdict.passed
+
+
+def test_cp_block_rule_on_fixed_matrices():
+    m = complex_gaussian(4, 4, np.random.default_rng(5))
+    assert not psd_check(SWAP).passed and catalogue._psd_deviation(SWAP) == np.inf
+    assert psd_check(adjoint(m) @ m).passed and catalogue._psd_deviation(adjoint(m) @ m) < 0
+    skew = 1e-11 * np.array([[1, 1], [-1, 1]])
+    assert not psd_check(skew).passed and catalogue._psd_deviation(skew) == np.inf
+    assert psd_check(np.zeros((3, 3))).passed and catalogue._psd_deviation(np.zeros((3, 3))) == 0.0
+
+
+def test_nearest_unitary_is_the_polar_factor():
+    u = random_unitary(5, 7)
+    m = complex_gaussian(5, 5, np.random.default_rng(8))
+    p = adjoint(m) @ m  # positive definite
+    assert np.abs(nearest_unitary(u @ p) - u).max() < 1e-12
+    assert unitary_defect(nearest_unitary(u + 1e-9 * m)) < 1e-14
 
 
 def test_tp_rule_holds_at_its_edge():
