@@ -48,7 +48,9 @@ def rank_from_lambdas(lambdas: np.ndarray) -> int:
 
     The norm is taken as lambda_max * ||lambda / lambda_max||, whose sum of
     squares cannot overflow however large the coefficients are.  A coefficient
-    beyond the double range raises FloatingPointError.
+    beyond the double range raises FloatingPointError.  The edge is arbitrary:
+    the cutoff is a convention, not a derived bound, so a coefficient exactly
+    at it may count either way.
     """
     _check_finite(lambdas)
     top = float(np.max(lambdas, initial=0.0))
@@ -67,6 +69,8 @@ def schmidt(alpha, bases: BasisPair) -> SchmidtResult:
     _check_finite(s)
     # Phase convention: the first entry above 1e-12 of each (unit) x-column is
     # made real nonnegative, the w-column absorbing the compensating phase.
+    # The edge is arbitrary: any nonzero entry fixes a valid phase, and the
+    # cutoff only skips entries at rounding level.
     first = x[np.argmax(np.abs(x) > 1e-12, axis=0), np.arange(x.shape[1])]
     phase = first / np.abs(first)
     x = x / phase
@@ -84,12 +88,15 @@ def schmidt_rank(alpha, d1: int, d2: int) -> int:
     alpha = as_vector(alpha)
     if alpha.shape[0] != d1 * d2:
         raise DimensionMismatchError("schmidt_rank: vector length != d1*d2")
-    s = np.linalg.svd(alpha.reshape(d1, d2).T, compute_uv=False)
+    s = np.linalg.svd(alpha.reshape(d1, d2), compute_uv=False)
     return rank_from_lambdas(s)
 
 
 def _check_unit(v, name: str) -> np.ndarray:
     v = as_vector(v)
+    # No input lands on the edge: for a norm near 1 the measured |norm - 1| is
+    # an exact multiple of 2^-53, and 1e-8 is not one, so < and <= are the
+    # same rule here.
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ValueError(f"{name}: expected a unit vector")
     return v

@@ -220,8 +220,6 @@ def vectorization_at_the_cli_limit(rng, n):
             yield _dist(sum(np.kron(col, s) for col, s in zip(bases.b1.u.T, slices)), alpha)
 
 
-# Hard inputs, registered under vectorize: the byte corpus pins the entangle
-# suite's output, and the --suite error lists every suite name.
 HARD_PAIRS = ((2, 3), (8, 8), (5, 7), (32, 32), (16, 64))  # (d1, d2), up to the kron cap
 
 
@@ -255,24 +253,6 @@ def exact_scale_covariance(rng, n):
                 yield _dist(choi_map(s * ms) / s**2, c)
 
 
-@register("vectorize", 1, bound=0.5)
-def schmidt_rank_at_its_cutoff(rng, n):
-    """alpha = sum_i lambda_i x_i (x) y_i, for orthonormal x_i and y_i and
-    lambda = (1, 1/2, 4c, c/4) with c = RANK_CUTOFF ||lambda||, has rank 3 by
-    schmidt in random bases and by schmidt_rank, at HARD_PAIRS but (2, 3) and
-    at (4, 4) (deviation 1 if either is not 3)."""
-    lam = np.array([1.0, 0.5, 0.0, 0.0])
-    c = RANK_CUTOFF * np.linalg.norm(lam)  # the two small ones add 1e-20 to the norm
-    lam[2:] = 4 * c, c / 4
-    for d1, d2 in ((4, 4), *HARD_PAIRS[1:]):
-        for _ in range(n):
-            bases = _random_pair(d1, d2, rng)
-            x, y = random_unitary(d1, rng)[:, :4], random_unitary(d2, rng)[:, :4]
-            alpha = ((x * lam) @ y.T).reshape(-1)
-            yield float(schmidt(alpha, bases).rank != 3)
-            yield float(schmidt_rank(alpha, d1, d2) != 3)
-
-
 @register("vectorize", 1, bound=2.001)
 def snapped_basis_perturbation(rng, n):
     """A basis U perturbed by E = 1e-9 G, G complex Gaussian, and snapped to
@@ -292,29 +272,6 @@ def snapped_basis_perturbation(rng, n):
             a, alpha = a / np.linalg.norm(a), alpha / np.linalg.norm(alpha)
             ref = _basis_changes(a, alpha, BasisPair(*map(Basis, us)))
             yield max(map(_dist, _basis_changes(a, alpha, snapped), ref)) / np.linalg.norm(moves[0])
-
-
-@register("vectorize", 1, bound=1e-10)
-def schmidt_graded_spectra(rng, n):
-    """alpha = sum_i lambda_i x_i (x) y_i, for orthonormal x_i and y_i and
-    lambda_i = 10^(-12 i / (r - 1)), r = min(d1, d2), in random bases at
-    HARD_PAIRS: schmidt rebuilds alpha and finds the lambda_i, both relative
-    to ||alpha||, its two families are orthonormal, and sum_i lambda_i^2 =
-    ||alpha||^2, relative."""
-    for d1, d2 in HARD_PAIRS:
-        r = min(d1, d2)
-        lam = 10.0 ** (-12 * np.arange(r) / (r - 1))
-        for _ in range(n):
-            bases = _random_pair(d1, d2, rng)
-            x, y = random_unitary(d1, rng)[:, :r], random_unitary(d2, rng)[:, :r]
-            alpha = ((x * lam) @ y.T).reshape(-1)
-            norm = np.linalg.norm(alpha)
-            res = schmidt(alpha, bases)
-            yield _dist(((res.left * res.lambdas) @ res.right.T).reshape(-1), alpha) / norm
-            yield _dist(res.lambdas, lam) / norm
-            for family in (res.left, res.right):
-                yield _dist(adjoint(family) @ family, np.eye(r))
-            yield abs(np.sum(res.lambdas**2) - norm**2) / norm**2
 
 
 LIFT_PAIRS = ((2, 2), (3, 3), (3, 2))  # (d1, d2)
@@ -423,25 +380,16 @@ def complete_positivity_block_psd(rng, n):
 @register("superop", 15, bound=1e-10)
 def kraus_to_lift_dual_construction(rng, n):
     """The paper's kraus_to_r, the probe lift_r and the closed form
-    kraus_to_r_kron give one R-matrix (standard basis)."""
-    for _ in range(n):
-        d = int(rng.integers(2, 5))
-        ms = random_tp_kraus(d, int(rng.integers(1, 5)), rng)
-        basis = Basis.standard(d)
-        r_probe = lift_r(HSMap.from_kraus(ms), BasisPair(basis, basis))
-        r_alpha = kraus_to_r(ms, basis)
-        r_kron = kraus_to_r_kron(ms)
-        yield max(_dist(r_probe, r_alpha), _dist(r_probe, r_kron), _dist(r_alpha, r_kron))
-
-
-@register("superop", 10, bound=1e-10)
-def kraus_to_r_closed_form_random_basis(rng, n):
-    """kraus_to_r_kron = kraus_to_r in a random basis."""
-    for _ in range(n):
+    kraus_to_r_kron give one R-matrix (d and rank 1 ... 5), in the standard
+    basis on the first draw and in a random basis on the others."""
+    for i in range(n):
         d = int(rng.integers(1, 6))
         ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
-        basis = Basis(random_unitary(d, rng))
-        yield _dist(kraus_to_r_kron(ms, basis), kraus_to_r(ms, basis))
+        basis = Basis(random_unitary(d, rng)) if i else Basis.standard(d)
+        r_probe = lift_r(HSMap.from_kraus(ms), BasisPair(basis, basis))
+        r_alpha = kraus_to_r(ms, basis)
+        r_kron = kraus_to_r_kron(ms, basis)
+        yield max(_dist(r_probe, r_alpha), _dist(r_probe, r_kron), _dist(r_alpha, r_kron))
 
 
 @register("superop", 4, bound=1e-10)
@@ -535,14 +483,14 @@ def choi_of_transpose_min_eigenvalue(rng, n):
 
 
 def _cp_channels(rng, n):
-    """n random trace-preserving channels at d = 2, 3 of every rank 1 to
+    """n random trace-preserving channels at d = 1 ... 5 of every rank 1 to
     d^2 + 1; one at d = 3, k = 9 whose blocks after the first are scaled by
     1e-8, so that C's least eigenvalue sits far below rounding; and one graded
     channel, M_i = sqrt(p_i) U_i for Haar unitaries U_i and weights p_i
     proportional to 10^(-12 i / (k - 1)), at d = 2 ... 5 and k = 2, d^2 - 1,
     d^2 or d^2 + 2, whose C has eigenvalues down to 1e-12 ||C||_2."""
     for _ in range(n):
-        d = int(rng.integers(2, 4))
+        d = int(rng.integers(1, 6))
         yield random_tp_kraus(d, int(rng.integers(1, d * d + 2)), rng)
     dominant = random_tp_kraus(3, 9, rng)
     dominant[1:] *= 1e-8
@@ -557,7 +505,8 @@ def _cp_channels(rng, n):
 def choi_positivity_of_kraus_channels(rng, n):
     """check_cp certifies a Kraus channel from the singular values of its
     blocks; psd_check of the Choi matrix probed from the map is the oracle for
-    verdict, threshold and least eigenvalue (relative to ||C||_2)."""
+    verdict, threshold and least eigenvalue (relative to ||C||_2).  The closed
+    form choi_map is that probed matrix."""
     for ms in _cp_channels(rng, n):
         v = check_cp(ms)
         c = choi_of_map(HSMap.from_kraus(ms), Basis.standard(ms.shape[1]))
@@ -566,15 +515,7 @@ def choi_positivity_of_kraus_channels(rng, n):
         yield abs(v.threshold - oracle.threshold) / -oracle.threshold
         yield abs(v.value - oracle.value) / operator_norm(c)
         yield 0.0 if v.passed and oracle.passed else 1.0
-
-
-@register("choi", 10, bound=1e-10)
-def choi_closed_form_vs_probe(rng, n):
-    """choi_map = choi_of_map in the standard basis."""
-    for _ in range(n):
-        d = int(rng.integers(1, 6))
-        ms = random_tp_kraus(d, int(rng.integers(1, 6)), rng)
-        yield _dist(choi_map(ms), choi_of_map(HSMap.from_kraus(ms), Basis.standard(d)))
+        yield _dist(choi_map(ms), c)
 
 
 @register("choi", 20, bound=0.0)
@@ -601,18 +542,12 @@ def _schmidt_pairs(rng, n):
 @register("entangle", 25, bound=1e-10)
 def schmidt_reconstruction(rng, n):
     """alpha = sum_i lambda_i left_i (x) right_i, with orthonormal families
-    left_i and right_i."""
+    left_i and right_i, and sum_i lambda_i^2 = ||alpha||^2."""
     for alpha, res in _schmidt_pairs(rng, n):
         rebuilt = sum(lam * np.kron(x, y) for lam, x, y in zip(res.lambdas, res.left.T, res.right.T))
         yield _dist(rebuilt, alpha)
         for family in (res.left, res.right):
             yield _dist(adjoint(family) @ family, np.eye(family.shape[1]))
-
-
-@register("entangle", 25, bound=1e-10)
-def schmidt_norm_identity(rng, n):
-    """sum_i lambda_i^2 = ||alpha||^2."""
-    for alpha, res in _schmidt_pairs(rng, n):
         yield abs(np.sum(res.lambdas**2) - np.linalg.norm(alpha) ** 2)
 
 
@@ -643,6 +578,47 @@ def schmidt_unitary_invariance(rng, n):
         yield _dist(np.sort(schmidt(alpha, std).lambdas), np.sort(schmidt(rotated, std).lambdas))
 
 
+@register("entangle", 1, bound=0.5)
+def schmidt_rank_at_its_cutoff(rng, n):
+    """alpha = sum_i lambda_i x_i (x) y_i, for orthonormal x_i and y_i and
+    lambda = (1, 1/2, 4c, c/4) with c = RANK_CUTOFF ||lambda||, has rank 3 by
+    schmidt in random bases and by schmidt_rank, at HARD_PAIRS but (2, 3) and
+    at (4, 4) (deviation 1 if either is not 3)."""
+    lam = np.array([1.0, 0.5, 0.0, 0.0])
+    c = RANK_CUTOFF * np.linalg.norm(lam)  # the two small ones add 1e-20 to the norm
+    lam[2:] = 4 * c, c / 4
+    for d1, d2 in ((4, 4), *HARD_PAIRS[1:]):
+        for _ in range(n):
+            bases = _random_pair(d1, d2, rng)
+            x, y = random_unitary(d1, rng)[:, :4], random_unitary(d2, rng)[:, :4]
+            alpha = ((x * lam) @ y.T).reshape(-1)
+            yield float(schmidt(alpha, bases).rank != 3)
+            yield float(schmidt_rank(alpha, d1, d2) != 3)
+
+
+@register("entangle", 1, bound=1e-10)
+def schmidt_graded_spectra(rng, n):
+    """alpha = sum_i lambda_i x_i (x) y_i, for orthonormal x_i and y_i and
+    lambda_i = 10^(-12 i / (r - 1)), r = min(d1, d2), in random bases at
+    HARD_PAIRS: schmidt rebuilds alpha and finds the lambda_i, both relative
+    to ||alpha||, its two families are orthonormal, and sum_i lambda_i^2 =
+    ||alpha||^2, relative."""
+    for d1, d2 in HARD_PAIRS:
+        r = min(d1, d2)
+        lam = 10.0 ** (-12 * np.arange(r) / (r - 1))
+        for _ in range(n):
+            bases = _random_pair(d1, d2, rng)
+            x, y = random_unitary(d1, rng)[:, :r], random_unitary(d2, rng)[:, :r]
+            alpha = ((x * lam) @ y.T).reshape(-1)
+            norm = np.linalg.norm(alpha)
+            res = schmidt(alpha, bases)
+            yield _dist(((res.left * res.lambdas) @ res.right.T).reshape(-1), alpha) / norm
+            yield _dist(res.lambdas, lam) / norm
+            for family in (res.left, res.right):
+                yield _dist(adjoint(family) @ family, np.eye(r))
+            yield abs(np.sum(res.lambdas**2) - norm**2) / norm**2
+
+
 # The paper's R isomorphism holds on infinite-dimensional spaces, Choi's only on
 # finite ones.  The sections suite shows this on the first d levels of an
 # oscillator: R of a cut channel is the cut of R, and R_d settles as d grows
@@ -664,12 +640,18 @@ def _damping(d: int) -> np.ndarray:
 
 @register("sections", 1, bound=0.0)
 def section_consistency(rng, n):
-    """R of the damping channel cut to d levels is R on 32 levels cut to the
-    operators on the first d, the indices a * 32 + b with a, b < d, exactly."""
-    r = kraus_to_r_kron(_damping(32))
-    for d in SECTIONS:
-        keep = (np.arange(d)[:, None] * 32 + np.arange(d)).ravel()
-        yield _dist(kraus_to_r_kron(_damping(d)), r[np.ix_(keep, keep)])
+    """R of a Kraus stack cut to d levels is R on 32 levels cut to the
+    operators on the first d, the indices a * 32 + b with a, b < d, exactly:
+    for the damping channel and for n full complex Gaussian stacks of rank 2
+    or 3.  The entry R[(a, b), (c, e)] = sum_k M_k[c, a] conj(M_k[e, b]) reads
+    only levels below d, so this holds for every stack; only products need
+    the triangular shape."""
+    gaussian = (complex_gaussian(32 * k, 32, rng).reshape(k, 32, 32) for k in rng.integers(2, 4, size=n))
+    for m in (_damping(32), *gaussian):
+        r = kraus_to_r_kron(m)
+        for d in SECTIONS:
+            keep = (np.arange(d)[:, None] * 32 + np.arange(d)).ravel()
+            yield _dist(kraus_to_r_kron(m[:, :d, :d]), r[np.ix_(keep, keep)])
 
 
 @register("sections", 2, bound=1e-10)

@@ -82,7 +82,9 @@ class Basis:
         phi = as_vector(phi)
         d = phi.shape[0]
         # The bound Basis puts on U*U, checked on phi as a column so that the
-        # refusal names adapted_to.
+        # refusal names adapted_to.  No input lands on its edge: for s =
+        # phi*phi near 1 the measured |s - 1| is an exact multiple of 2^-53,
+        # and 1e-10 is not one, so > and >= are the same rule here.
         if unitary_defect(phi[:, None]) > 1e-10:
             raise ValueError("adapted_to: vector must be normalized (|norm^2 - 1| <= 1e-10)")
         cols = np.column_stack([phi, np.eye(d, dtype=complex)])

@@ -141,6 +141,15 @@ def test_vec_rejects_non_unitary_basis(cli, tmp_path):
     assert "unitary" in err
 
 
+def test_basis_file_rule_holds_at_its_edge(cli, tmp_path):
+    # U = [[1, t], [0, 1]] has unitary defect t bit for bit (1 + t^2 rounds to 1).
+    mpath = write_matrix(tmp_path / "m.json", np.eye(2))
+    edge = 1e-8
+    for t, code in ((edge, 0), (np.nextafter(edge, 1), 2)):
+        upath = write_matrix(tmp_path / "u.json", np.array([[1, t], [0, 1]]))
+        assert cli("vec", mpath, "--basis-h1", upath)[0] == code
+
+
 def test_vec_rejects_a_basis_of_the_wrong_size(cli, tmp_path):
     mpath = write_matrix(tmp_path / "m.json", np.ones((2, 4)))  # d1 = 4 columns
     small = write_matrix(tmp_path / "small.json", np.eye(2))

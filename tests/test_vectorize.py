@@ -31,6 +31,15 @@ def test_basis_rejects_non_unitary():
     assert Basis.standard(0).dim == 0  # the empty basis of C^0
 
 
+def test_basis_rule_holds_at_its_edge():
+    # U*U - I = [[0, t], [t, t^2]] for U = [[1, t], [0, 1]], and 1 + t^2
+    # rounds to 1, so the defect is t bit for bit.
+    edge = 1e-10
+    Basis(np.array([[1, edge], [0, 1]]))
+    with pytest.raises(ValueError, match="^Basis: columns are not orthonormal"):
+        Basis(np.array([[1, np.nextafter(edge, 1)], [0, 1]]))
+
+
 def _read_only_fields():
     basis = Basis(random_unitary(2, 0))
     pair = BasisPair(basis, Basis.standard(2))
