@@ -94,12 +94,11 @@ def lift_r(b: HSMap, bases: BasisPair) -> np.ndarray:
     return probes @ adjoint(kron(bases.b1.u, bases.b2.u))
 
 
-def choi_of_map(b: HSMap, basis: Basis, normalize: bool = False) -> np.ndarray:
+def choi_of_map(b: HSMap, basis: Basis) -> np.ndarray:
     """Choi matrix sum_{i,j} |phi_i><phi_j| (x) b(|phi_i><phi_j|).
 
     Defined for the square case only; the reference vector
-    sum_j phi_j (x) phi_j is kept unnormalized unless ``normalize`` is set,
-    which divides the result by the dimension.  Probes b on the d^2 matrix
+    sum_j phi_j (x) phi_j is kept unnormalized.  Probes b on the d^2 matrix
     units, so it takes any map, not only a Kraus stack.
     """
     d = basis.dim
@@ -112,8 +111,6 @@ def choi_of_map(b: HSMap, basis: Basis, normalize: bool = False) -> np.ndarray:
         for j in range(d):
             unit = np.outer(basis.u[:, i], np.conj(basis.u[:, j]))
             out += kron(unit, b(unit))
-    if normalize:
-        out /= d
     return out
 
 

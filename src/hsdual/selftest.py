@@ -15,6 +15,7 @@ numbers depend on another's.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -531,24 +532,42 @@ def verdicts_under_exact_scaling(rng, n):
 
 
 def _schmidt_pairs(rng, n):
-    """(alpha, schmidt(alpha)) for n random vectors, 2 <= d1, d2 <= 6, in random bases."""
+    """(alpha, schmidt(alpha), None) for n random vectors, 2 <= d1, d2 <= 6,
+    in random bases."""
     for _ in range(n):
         d1, d2 = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         bases = _random_pair(d1, d2, rng)
         alpha = _vector(d1 * d2, rng)
-        yield alpha, schmidt(alpha, bases)
+        yield alpha, schmidt(alpha, bases), None
+
+
+def _graded_schmidt_pairs(rng, n):
+    """(alpha, schmidt(alpha), lambda) for n vectors per shape in HARD_PAIRS,
+    alpha = sum_i lambda_i x_i (x) y_i for orthonormal x_i and y_i and
+    lambda_i = 10^(-12 i / (r - 1)), r = min(d1, d2), in random bases."""
+    for d1, d2 in HARD_PAIRS:
+        r = min(d1, d2)
+        lam = 10.0 ** (-12 * np.arange(r) / (r - 1))
+        for _ in range(n):
+            bases = _random_pair(d1, d2, rng)
+            x, y = random_unitary(d1, rng)[:, :r], random_unitary(d2, rng)[:, :r]
+            alpha = ((x * lam) @ y.T).reshape(-1)
+            yield alpha, schmidt(alpha, bases), lam
 
 
 @register("entangle", 25, bound=1e-10)
 def schmidt_reconstruction(rng, n):
     """alpha = sum_i lambda_i left_i (x) right_i, with orthonormal families
-    left_i and right_i, and sum_i lambda_i^2 = ||alpha||^2."""
-    for alpha, res in _schmidt_pairs(rng, n):
-        rebuilt = sum(lam * np.kron(x, y) for lam, x, y in zip(res.lambdas, res.left.T, res.right.T))
-        yield _dist(rebuilt, alpha)
+    left_i and right_i, and sum_i lambda_i^2 = ||alpha||^2: for Gaussian
+    vectors, then for coefficients graded from 1 down to 1e-12 at HARD_PAIRS,
+    which schmidt must also find."""
+    for alpha, res, lam in itertools.chain(_schmidt_pairs(rng, n), _graded_schmidt_pairs(rng, n)):
+        yield _dist(((res.left * res.lambdas) @ res.right.T).reshape(-1), alpha)
         for family in (res.left, res.right):
             yield _dist(adjoint(family) @ family, np.eye(family.shape[1]))
         yield abs(np.sum(res.lambdas**2) - np.linalg.norm(alpha) ** 2)
+        if lam is not None:
+            yield _dist(res.lambdas, lam)
 
 
 @register("entangle", 10, bound=0.5)
@@ -594,29 +613,6 @@ def schmidt_rank_at_its_cutoff(rng, n):
             alpha = ((x * lam) @ y.T).reshape(-1)
             yield float(schmidt(alpha, bases).rank != 3)
             yield float(schmidt_rank(alpha, d1, d2) != 3)
-
-
-@register("entangle", 1, bound=1e-10)
-def schmidt_graded_spectra(rng, n):
-    """alpha = sum_i lambda_i x_i (x) y_i, for orthonormal x_i and y_i and
-    lambda_i = 10^(-12 i / (r - 1)), r = min(d1, d2), in random bases at
-    HARD_PAIRS: schmidt rebuilds alpha and finds the lambda_i, both relative
-    to ||alpha||, its two families are orthonormal, and sum_i lambda_i^2 =
-    ||alpha||^2, relative."""
-    for d1, d2 in HARD_PAIRS:
-        r = min(d1, d2)
-        lam = 10.0 ** (-12 * np.arange(r) / (r - 1))
-        for _ in range(n):
-            bases = _random_pair(d1, d2, rng)
-            x, y = random_unitary(d1, rng)[:, :r], random_unitary(d2, rng)[:, :r]
-            alpha = ((x * lam) @ y.T).reshape(-1)
-            norm = np.linalg.norm(alpha)
-            res = schmidt(alpha, bases)
-            yield _dist(((res.left * res.lambdas) @ res.right.T).reshape(-1), alpha) / norm
-            yield _dist(res.lambdas, lam) / norm
-            for family in (res.left, res.right):
-                yield _dist(adjoint(family) @ family, np.eye(r))
-            yield abs(np.sum(res.lambdas**2) - norm**2) / norm**2
 
 
 # The paper's R isomorphism holds on infinite-dimensional spaces, Choi's only on
@@ -668,6 +664,29 @@ def section_products(rng, n):
             for d in range(2, 17):
                 product = kraus_to_r_kron(a[:, :d, :d]) @ kraus_to_r_kron(b[:, :d, :d])
                 yield np.linalg.norm(kraus_to_r_kron(stack[:, :d, :d]) - product) / np.linalg.norm(product)
+
+
+@register("sections", 1, bound=1e-10)
+def section_strong_products(rng, n):
+    """For banded Kraus stacks A (rank 2) and B (rank 3) of bandwidth w = 1
+    or 2 on 24 levels, and X a complex Gaussian operator on the first 3
+    levels, R_d(A) R_d(B) vec X = R_d({B_j A_i}) vec X at d = 3 + w ... 24,
+    relative.  Applying A moves X onto the first 3 + w levels, so from there
+    on no cut between the two factors loses any of it.  In norm R_d(A) R_d(B)
+    and R_d({B_j A_i}) stay apart at every d, since an X on the last levels
+    spills over the cut: the sections converge strongly, not in norm."""
+    levels = np.arange(24)
+    for _ in range(n):
+        for w in (1, 2):
+            band = np.abs(levels[:, None] - levels) <= w
+            a, b = (band * complex_gaussian(24 * k, 24, rng).reshape(k, 24, 24) for k in (2, 3))
+            stack = (b[:, None] @ a[None, :]).reshape(-1, 24, 24)
+            x = complex_gaussian(3, 3, rng)
+            for d in range(3 + w, 25):
+                v = vec_j(np.pad(x, (0, d - 3)), BasisPair.standard(d, d))
+                ra, rb, rs = (kraus_to_r_kron(m[:, :d, :d]) for m in (a, b, stack))
+                ref = rs @ v
+                yield np.linalg.norm(ra @ (rb @ v) - ref) / np.linalg.norm(ref)
 
 
 @register("sections", 1, bound=0.5)

@@ -11,9 +11,12 @@ so vec_j, partial_slice, partial_slice_adjoint and conjugate_in_basis read
 only U1 and J1 = U1 U1^T, with one formula for every basis: vec_j is
 (J1 A^T) flattened and partial_slice conj(U1[:, i])^T alpha.reshape(d1, d2).
 The standard basis is J1 = I, for which both give the reshapes exactly.
-Only devec_jstar reads U2, and only it asks whether a basis is standard: it
-builds kron(U1, U2), one (d1*d2)^2 array bounded by MAX_KRON_ENTRIES
-(d1*d2 <= 1024), and applies its adjoint in place, conjugating only vectors.
+Only devec_jstar reads U2, and only it asks whether a basis is standard.
+With a standard H1 basis it is the transpose of alpha.reshape(d1, d2),
+exactly, in any H2 basis: devec(alpha) = alpha.reshape(d1, d2)^T conj(J1),
+where U2 cancels, and J1 = I.  Otherwise it builds kron(U1, U2), one
+(d1*d2)^2 array bounded by MAX_KRON_ENTRIES (d1*d2 <= 1024), and applies its
+adjoint in place, conjugating only vectors.
 hsdual.paper holds the paper's literal constructions, the oracles for these.
 """
 
@@ -157,8 +160,9 @@ def devec_jstar(alpha, bases: BasisPair) -> np.ndarray:
     """Inverse of vec_j: sum <phi_j (x) psi_i, alpha> |psi_i><phi_j|."""
     alpha = _check_bipartite(alpha, bases)
     d1, d2 = bases.d1, bases.d2
-    # The one basis change that still reads U2: its kron takes both bases.
-    if bases.b1.is_standard and bases.b2.is_standard:
+    # devec(alpha) = alpha.reshape(d1, d2)^T conj(J1): U2 cancels, and J1 = I
+    # for a standard H1 basis.  Any other takes the kron, which reads U2.
+    if bases.b1.is_standard:
         return alpha.reshape(d1, d2).T.copy()
     # beta = (U1 (x) U2)* alpha, beta[j*d2 + i] = <phi_j (x) psi_i, alpha>.
     # conj(W^T conj(alpha)) equals W* alpha entry for entry, so the Kronecker

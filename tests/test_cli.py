@@ -133,6 +133,17 @@ def test_basis_files_cap_devec_not_vec_at_d1_d2_1024(cli, tmp_path):
             assert err.startswith("error: ") and "kron result would have" in err
 
 
+def test_devec_with_only_an_h2_basis_file_is_the_transpose_at_64x64(cli, tmp_path):
+    # devec(alpha) = alpha.reshape(d1, d2)^T conj(J1): with no H1 basis file
+    # J1 = I, U2 cancels, and no kron(U1, U2) is built.
+    alpha = complex_gaussian(64 * 64, 1, np.random.default_rng(32))[:, 0]
+    vpath = write_matrix(tmp_path / "v.json", alpha)
+    b2 = write_matrix(tmp_path / "b2.json", random_unitary(64, 33))
+    code, out, err = cli("devec", vpath, "--d1", "64", "--d2", "64", "--basis-h2", b2)
+    assert code == 0 and err == ""
+    assert np.array_equal(parse_matrix(out), alpha.reshape(64, 64).T)
+
+
 def test_vec_rejects_non_unitary_basis(cli, tmp_path):
     mpath = write_matrix(tmp_path / "m.json", np.eye(2))
     bad = write_matrix(tmp_path / "bad.json", np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -290,11 +290,10 @@ def test_choi_matches_entangled_state_form_for_kraus():
 
 def test_choi_normalize_flag():
     c = choi_of_map(HSMap.identity(2, 2), Basis.standard(2))
-    cn = choi_of_map(HSMap.identity(2, 2), Basis.standard(2), normalize=True)
-    assert np.abs(cn - c / 2).max() == 0
-    # The identity channel in closed form gives the same two matrices.
+    # The identity channel in closed form gives the same matrix, and
+    # normalize divides it by the dimension.
     assert np.array_equal(choi_map([np.eye(2)]), c)
-    assert np.array_equal(choi_map([np.eye(2)], normalize=True), cn)
+    assert np.array_equal(choi_map([np.eye(2)], normalize=True), c / 2)
 
 
 def test_choi_requires_square():
@@ -422,11 +421,10 @@ def test_closed_form_r_matches_oracles(d, k):
 @pytest.mark.parametrize("d,k", CLOSED_FORM_CASES)
 def test_closed_form_choi_matches_probe(d, k):
     ms, _ = _kraus_and_bases(d, k, 200 * d + k)
-    for normalize in (False, True):
-        c = choi_map(ms, normalize=normalize)
-        probe = choi_of_map(HSMap.from_kraus(ms), Basis.standard(d), normalize=normalize)
-        assert np.abs(c - probe).max() <= 1e-12 * (1 + np.abs(probe).max())
-        assert np.array_equal(c, choi_map(ms) / (d if normalize else 1))
+    c = choi_map(ms)
+    probe = choi_of_map(HSMap.from_kraus(ms), Basis.standard(d))
+    assert np.abs(c - probe).max() <= 1e-12 * (1 + np.abs(probe).max())
+    assert np.array_equal(choi_map(ms, normalize=True), c / d)
 
 
 def test_closed_form_choi_is_reshuffled_r():

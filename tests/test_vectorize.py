@@ -277,7 +277,8 @@ def test_basis_changes_match_kron_formulas(d1, d2):
 def test_closed_forms_beyond_the_old_kron_cap(d1, d2):
     # Up to d1*d2 = 4096, where kron(U1, U2) would be refused above 1024: the
     # closed forms J1 A^T and conj(U1[:, i])^T alpha.reshape(d1, d2) read no
-    # H2 basis, so another one gives the same bits.
+    # H2 basis, so another one gives the same bits.  With a standard H1 basis
+    # devec is alpha.reshape(d1, d2)^T conj(J1) with J1 = I, in any H2 basis.
     random_pair = rand_pair(d1, d2, d1 + 3 * d2)
     a = complex_gaussian(d2, d1, np.random.default_rng(d1 * d2))
     alpha = complex_gaussian(d1 * d2, 1, np.random.default_rng(d1 * d2 + 1))[:, 0]
@@ -294,6 +295,11 @@ def test_closed_forms_beyond_the_old_kron_cap(d1, d2):
             s = partial_slice(i, alpha, bases)
             assert np.abs(s - u2 @ coeff[i]).max() < 1e-13
             assert np.array_equal(partial_slice(i, alpha, other), s)
+        if b1.is_standard:
+            a_back = devec_jstar(alpha, bases)
+            assert np.array_equal(a_back, alpha.reshape(d1, d2).T)
+            assert np.array_equal(devec_jstar(alpha, other), a_back)
+            assert np.array_equal(schmidt(alpha, other).lambdas, schmidt(alpha, bases).lambdas)
 
 
 def test_basis_conjugation_matrix():
