@@ -292,22 +292,40 @@ def _lift(m, bases: BasisPair) -> np.ndarray:
     return lift_r(lower_s(m, BasisPair.standard(bases.d1, bases.d2)), bases)
 
 
-@register("superop", 15, bound=1e-8)
+def _budget_channels(rng, n):
+    """Random trace-preserving channels of rank 1 to 3: n each at d = 2, 5, 16,
+    then one at d = 32, whose R-matrix has MAX_KRON_ENTRIES entries."""
+    for d in [size for size in (2, 5, 16) for _ in range(n)] + [32]:
+        yield random_tp_kraus(d, int(rng.integers(1, 4)), rng)
+
+
+@register("superop", 15, bound=1e-10)
 def lift_multiplicativity(rng, n):
-    """R(B1 B2) = R(B1) R(B2)."""
+    """R(B1 B2) = R(B1) R(B2), for dense maps through the probe `lift_r`, and
+    for Kraus channels through `kraus_to_r_kron` up to MAX_KRON_ENTRIES.
+    Choi's matrix does not keep products (`choi-non-multiplicative-exhibit`).
+    The channel N first, then M has the Kraus stack {N_j M_i}."""
     for bases, m1 in _maps(rng, n):
         m2 = complex_gaussian(*m1.shape, rng)
         yield _dist(_lift(m1 @ m2, bases), _lift(m1, bases) @ _lift(m2, bases))
+    for m in _budget_channels(rng, n):
+        nn = random_tp_kraus(m.shape[1], int(rng.integers(1, 4)), rng)
+        stack = (nn[:, None] @ m[None, :]).reshape(-1, *m.shape[1:])
+        yield _dist(kraus_to_r_kron(stack), kraus_to_r_kron(m) @ kraus_to_r_kron(nn))
 
 
-@register("superop", 15, bound=1e-8)
+@register("superop", 15, bound=1e-10)
 def lift_adjoint_preservation(rng, n):
-    """R(B*) = R(B)*."""
+    """R(B*) = R(B)*, for dense maps through the probe `lift_r`, and for Kraus
+    channels, R({M_i*}) = R(M)*, through `kraus_to_r_kron` up to
+    MAX_KRON_ENTRIES."""
     for bases, m in _maps(rng, n):
         yield _dist(_lift(adjoint(m), bases), adjoint(_lift(m, bases)))
+    for m in _budget_channels(rng, n):
+        yield _dist(kraus_to_r_kron(m.conj().transpose(0, 2, 1)), adjoint(kraus_to_r_kron(m)))
 
 
-@register("superop", 15, bound=1e-8)
+@register("superop", 15, bound=1e-10)
 def lift_norm_preservation(rng, n):
     """||R(B)|| = ||B||."""
     for bases, m in _maps(rng, n):
@@ -408,30 +426,6 @@ def chain_composition_oracle(rng, n):
             for ms in chain:
                 nested = kraus_apply(ms, nested)
             yield _dist(total.as_hsmap()(state), nested)
-
-
-def _budget_channels(rng, n):
-    """Random trace-preserving channels of rank 1 to 3: n each at d = 2, 5, 16,
-    then one at d = 32, whose R-matrix has MAX_KRON_ENTRIES entries."""
-    for d in [size for size in (2, 5, 16) for _ in range(n)] + [32]:
-        yield random_tp_kraus(d, int(rng.integers(1, 4)), rng)
-
-
-@register("superop", 1, bound=1e-10)
-def closed_form_products(rng, n):
-    """The channel N first, then M has the Kraus stack {N_j M_i}, and its
-    R-matrix is R(M) R(N): the lift keeps products, which Choi's matrix does not."""
-    for m in _budget_channels(rng, n):
-        nn = random_tp_kraus(m.shape[1], int(rng.integers(1, 4)), rng)
-        stack = (nn[:, None] @ m[None, :]).reshape(-1, *m.shape[1:])
-        yield _dist(kraus_to_r_kron(stack), kraus_to_r_kron(m) @ kraus_to_r_kron(nn))
-
-
-@register("superop", 1, bound=1e-10)
-def closed_form_adjoints(rng, n):
-    """R({M_i*}) = R(M)*."""
-    for m in _budget_channels(rng, n):
-        yield _dist(kraus_to_r_kron(m.conj().transpose(0, 2, 1)), adjoint(kraus_to_r_kron(m)))
 
 
 @register("superop", 1, bound=1e-10)
@@ -674,7 +668,8 @@ def section_strong_products(rng, n):
     relative.  Applying A moves X onto the first 3 + w levels, so from there
     on no cut between the two factors loses any of it.  In norm R_d(A) R_d(B)
     and R_d({B_j A_i}) stay apart at every d, since an X on the last levels
-    spills over the cut: the sections converge strongly, not in norm."""
+    spills over the cut (`section-norms-exhibit`): the sections converge
+    strongly, not in norm."""
     levels = np.arange(24)
     for _ in range(n):
         for w in (1, 2):
@@ -693,15 +688,25 @@ def section_strong_products(rng, n):
 def section_norms_exhibit(rng, n):
     """The damping sections' R_d settle and their Choi matrices C_d do not:
     ||R_16|| - ||R_8|| < 1e-6, while ||C_d|| >= d - 1/GAMMA at every d, which
-    has no limit (deviation 0 when both hold, 1 when not).  C_d = V V* has the
-    norm of the Gram matrix diag(||M_0||^2, ||M_1||^2), and ||M_1||^2 =
-    d - sum_{n<d} (1 - GAMMA)^n."""
+    has no limit.  C_d = V V* has the norm of the Gram matrix
+    diag(||M_0||^2, ||M_1||^2), and ||M_1||^2 = d - sum_{n<d} (1 - GAMMA)^n.
+    And the sections of a product do not converge in norm: for A = {S} and
+    B = {S*}, S the shift on 24 levels (bandwidth 1), ||R_d(A) R_d(B) -
+    R_d({B_j A_i})|| is at least half of ||R_d({B_j A_i})|| at every d; both
+    read 1, since the cut of S loses the top level that S* S = I keeps
+    (deviation 0 when all three hold, 1 when not)."""
     sections = [_damping(d) for d in SECTIONS]
     r_norms = [operator_norm(kraus_to_r_kron(m)) for m in sections]
     c_norms = [operator_norm(choi_map(m)) for m in sections]
     settles = r_norms[-1] - r_norms[-2] < 1e-6
     grows = all(c >= d - 1 / GAMMA for d, c in zip(SECTIONS, c_norms))
-    yield 0.0 if settles and grows else 1.0
+    a = np.eye(24, k=-1)[None]
+    b = a.transpose(0, 2, 1)
+    apart = True
+    for d in SECTIONS:
+        ra, rb, rs = (kraus_to_r_kron(m[:, :d, :d]) for m in (a, b, b @ a))
+        apart &= operator_norm(ra @ rb - rs) >= operator_norm(rs) / 2
+    yield 0.0 if settles and grows and apart else 1.0
 
 
 def run_suites(names: list[str], seed: int) -> list[tuple[str, str, Verdict]]:

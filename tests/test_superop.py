@@ -11,6 +11,7 @@ from hsdual.linalg import (
     psd_check,
     random_unitary,
 )
+from hsdual import selftest
 from hsdual.selftest import random_tp_kraus
 from hsdual.superop import (
     HSMap,
@@ -435,6 +436,15 @@ def test_closed_form_choi_is_reshuffled_r():
     r = kraus_to_r_kron(ms)
     reshuffled = r.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
     assert np.abs(choi_map(ms) - reshuffled).max() < 1e-14
+
+
+def test_lift_laws_hold_the_closed_form(monkeypatch):
+    # A phase on every closed-form R-matrix breaks both laws: i R(MN) is not
+    # (i R(M))(i R(N)), and i R(M*) is not (i R(M))*.  The dense draws go
+    # through lift_r alone, so only the Kraus draws can see it.
+    monkeypatch.setattr(selftest, "kraus_to_r_kron", lambda ms, basis=None: 1j * kraus_to_r_kron(ms, basis))
+    for prop in (selftest.lift_multiplicativity, selftest.lift_adjoint_preservation):
+        assert not prop(np.random.default_rng(0), 1).passed, prop.__name__
 
 
 def test_superoperator_cap_refuses_d33():
