@@ -23,7 +23,6 @@ _EXPORTS = {
             "operator_norm",
             "psd_check",
             "random_unitary",
-            "svd",
         ],
         "linalg",
     ),

@@ -91,11 +91,17 @@ def cmd_check(args) -> int:
     if run_cp:
         v = check_cp(ms)
         ok &= v.passed
-        print(f"cp: {v.status} (min eigenvalue = {fmt_number(v.value, args.digits)})")
+        print(
+            f"cp: {v.status} (min eigenvalue = {fmt_number(v.value, args.digits)}, "
+            f"threshold = {fmt_number(v.threshold, args.digits)})"
+        )
     if run_tp:
         v = tp_verdict(tp_deviation(ms))
         ok &= v.passed
-        print(f"tp: {v.status} (deviation = {fmt_number(v.value, args.digits)})")
+        print(
+            f"tp: {v.status} (deviation = {fmt_number(v.value, args.digits)}, "
+            f"threshold = {fmt_number(v.threshold, args.digits)})"
+        )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_vector, svd
+from .linalg import DimensionMismatchError, as_vector, unitary_defect
 from .superop import HSMap
 from .vectorize import BasisPair, devec_jstar, vec_j
 
@@ -65,7 +65,8 @@ def schmidt(alpha, bases: BasisPair) -> SchmidtResult:
     A coefficient beyond the double range raises FloatingPointError.
     """
     a = devec_jstar(alpha, bases)
-    w, s, x = svd(a)  # a == w @ diag(s) @ x.conj().T
+    w, s, vh = np.linalg.svd(a, full_matrices=False)
+    x = vh.conj().T  # a == w @ diag(s) @ x.conj().T
     _check_finite(s)
     # Phase convention: the first entry above 1e-12 of each (unit) x-column is
     # made real nonnegative, the w-column absorbing the compensating phase.
@@ -94,10 +95,11 @@ def schmidt_rank(alpha, d1: int, d2: int) -> int:
 
 def _check_unit(v, name: str) -> np.ndarray:
     v = as_vector(v)
-    # No input lands on the edge: for a norm near 1 the measured |norm - 1| is
+    # |v*v - 1|, the unit-norm rule of a basis, inf for a NaN or inf entry.
+    # No input lands on the edge: for v*v near 1 the measured |v*v - 1| is
     # an exact multiple of 2^-53, and 1e-8 is not one, so < and <= are the
     # same rule here.
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # a NaN norm fails too
+    if unitary_defect(v[:, None]) > 1e-8:
         raise ValueError(f"{name}: expected a unit vector")
     return v
 

@@ -101,18 +101,11 @@ def unitary_defect(u) -> float:
 
 
 def nearest_unitary(u) -> np.ndarray:
-    """The unitary factor W V* of u's polar decomposition, from the SVD
-    u = W S V*: the unitary nearest u."""
-    w, _, vh = np.linalg.svd(as_matrix(u))
+    """The unitary factor W V* of u's polar decomposition, from the thin SVD
+    u = W S V*: the unitary nearest a square u.  For a wide u it is the
+    factor with orthonormal rows nearest u."""
+    w, _, vh = np.linalg.svd(as_matrix(u), full_matrices=False)
     return w @ vh
-
-
-def svd(a):
-    """Thin SVD.  Returns (u, s, v) with a == u @ diag(s) @ v.conj().T,
-    u and v having orthonormal columns and s nonnegative descending."""
-    a = as_matrix(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return u, s, vh.conj().T
 
 
 def operator_norm(a) -> float:

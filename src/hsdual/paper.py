@@ -18,7 +18,8 @@ probing matrix units, where production runs a closed form or a reshape:
 * ``choi_of_map``: Choi's matrix sum_{i,j} |phi_i><phi_j| (x) B(|phi_i><phi_j|),
   probed on the matrix units in any basis (production: ``superop.choi_map``,
   C = V V^* of a Kraus stack in the standard basis);
-* ``choi_of_vector``: (I (x) A) applied to phi_plus, which equals vec_t(A).
+* ``choi_of_vector``: (I (x) A) applied to phi_plus, which equals vec_t(A)
+  for any A from H1 to H2.
 
 This module is the oracle the tests and ``selftest`` compare the closed forms
 against.  It imports no production basis change, only the basis types, the
@@ -150,10 +151,10 @@ def kraus_to_r(ms, basis: Basis) -> np.ndarray:
 
 
 def choi_of_vector(a, basis: Basis) -> np.ndarray:
-    """(I (x) A) applied to the unnormalized maximally entangled vector;
-    coincides with vec_t(A)."""
+    """(I (x) A) applied to the unnormalized maximally entangled vector
+    ``phi_plus(basis)``, for any A from H1 to H2 (shape (d2, d1), ``basis``
+    the H1 basis); coincides with vec_t(A)."""
     a = as_matrix(a)
-    d = basis.dim
-    if a.shape != (d, d):
-        raise DimensionMismatchError("choi_of_vector: requires a d x d operator")
-    return kron(np.eye(d, dtype=complex), a) @ phi_plus(basis)
+    if a.shape[1] != basis.dim:
+        raise DimensionMismatchError("choi_of_vector: operator/basis dimension mismatch")
+    return kron(np.eye(basis.dim, dtype=complex), a) @ phi_plus(basis)

@@ -62,6 +62,7 @@ from .linalg import (
     as_matrix,
     complex_gaussian,
     guard_entries,
+    nearest_unitary,
 )
 from .vectorize import Basis, BasisPair, devec_jstar, vec_j
 
@@ -239,11 +240,10 @@ def tp_verdict(deviation: float) -> Verdict:
 def random_tp_kraus(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Random trace-preserving Kraus stack: M_i = (sum_j G_j G_j*)^(-1/2) G_i
     for Gaussian G_i, taken as the k blocks of the polar factor U V^* of
-    [G_1 | ... | G_k] (one SVD), so sum_i M_i M_i* = U U^* = I to rounding at
-    every rank."""
+    [G_1 | ... | G_k] (``nearest_unitary``, one thin SVD), so
+    sum_i M_i M_i* = U U^* = I to rounding at every rank."""
     gs = [complex_gaussian(d, d, rng) for _ in range(rank)]
-    u, _, vh = np.linalg.svd(np.hstack(gs), full_matrices=False)
-    return np.stack(np.hsplit(u @ vh, rank))
+    return np.stack(np.hsplit(nearest_unitary(np.hstack(gs)), rank))
 
 
 def tp_deviation(ms) -> float:

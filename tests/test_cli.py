@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import FAULT_FILES, write_channel, write_matrix
 
 import hsdual.cli
-from hsdual.io import format_matrix, parse_matrix
+from hsdual.io import fmt_number, format_matrix, parse_matrix
 from hsdual.linalg import complex_gaussian, random_unitary
 from hsdual.selftest import SUITES
 
@@ -300,23 +300,29 @@ def test_check_golden_stdout(cli, tmp_path):
     ident = write_channel(tmp_path / "id.json", [np.eye(2)])
     assert cli("check", ident, "--cp", "--tp")[:2] == (
         0,
-        "cp: PASS (min eigenvalue = 0)\ntp: PASS (deviation = 0)\n",
+        "cp: PASS (min eigenvalue = 0, threshold = -2.0000000000000006e-10)\n"
+        "tp: PASS (deviation = 0, threshold = 2.0000000000000001e-10)\n",
     )
     big = write_channel(tmp_path / "big.json", [2 * np.eye(2)])
     assert cli("check", big, "--cp", "--tp")[:2] == (
         1,
-        "cp: PASS (min eigenvalue = 0)\ntp: FAIL (deviation = 3)\n",
+        "cp: PASS (min eigenvalue = 0, threshold = -8.0000000000000024e-10)\n"
+        "tp: FAIL (deviation = 3, threshold = 2.0000000000000001e-10)\n",
     )
 
 
 def test_check_cp_of_low_rank_channel_prints_structural_zero(cli, tmp_path):
     # k < d^2: the Choi matrix V V* has a null space, so its least eigenvalue
-    # is 0.  Only the stacked blocks are read, so d runs up to MAX_DIM.
+    # is 0.  Only the stacked blocks are read, so d runs up to MAX_DIM.  The
+    # threshold is -1e-10 times the largest eigenvalue, s_1^2 of the stack.
     from hsdual.selftest import random_tp_kraus
 
     for d, k in ((4, 2), (64, 1)):
-        path = write_channel(tmp_path / f"c{d}.json", random_tp_kraus(d, k, np.random.default_rng(6)))
-        assert cli("check", path, "--cp")[:2] == (0, "cp: PASS (min eigenvalue = 0)\n")
+        ms = random_tp_kraus(d, k, np.random.default_rng(6))
+        path = write_channel(tmp_path / f"c{d}.json", ms)
+        s1 = np.linalg.svd(ms.reshape(k, d * d), compute_uv=False)[0]
+        threshold = fmt_number(-1e-10 * (s1 * s1), 17)
+        assert cli("check", path, "--cp")[:2] == (0, f"cp: PASS (min eigenvalue = 0, threshold = {threshold})\n")
 
 
 def test_check_pauli_mixture(cli, tmp_path):
@@ -505,8 +511,8 @@ def test_superoperator_commands_capped_at_d33(cli, tmp_path):
         assert "would have 1185921 entries" in err
     # No superoperator is built: the CP test of k = 1 < d^2 blocks reads the
     # one singular value of the 1 x d^2 block stack.
-    assert cli("check", ch, "--tp")[:2] == (0, "tp: PASS (deviation = 0)\n")
-    assert cli("check", ch, "--cp")[:2] == (0, "cp: PASS (min eigenvalue = 0)\n")
+    assert cli("check", ch, "--tp")[:2] == (0, "tp: PASS (deviation = 0, threshold = 2.0000000000000001e-10)\n")
+    assert cli("check", ch, "--cp")[:2] == (0, "cp: PASS (min eigenvalue = 0, threshold = -3.300000000000001e-09)\n")
 
 
 def test_compose_single_channel_is_its_r_matrix(cli, tmp_path):

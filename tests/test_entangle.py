@@ -101,8 +101,17 @@ def test_product_state_devec_rejects_non_unit():
         product_state_devec(np.array([2.0, 0]), np.array([1.0, 0]), BasisPair.standard(2, 2))
 
 
+def test_unit_rule_accepts_a_squared_norm_within_1e_8():
+    # The rule is |v*v - 1| <= 1e-8, as for a basis column: a norm of
+    # 1 + 2e-9 passes, and one of 1 + 7e-9 (v*v - 1 = 1.4e-8) does not.
+    got = product_state_devec(np.array([1 + 2e-9, 0]), np.array([1.0, 0]), BasisPair.standard(2, 2))
+    assert got[0, 0] == 1 + 2e-9
+
+
 @pytest.mark.parametrize("build", [product_state_devec, pure_state_transport])
-@pytest.mark.parametrize("phi", [[np.nan, 0], [np.inf, 0], [2.0, 0]], ids=["nan", "inf", "two"])
+@pytest.mark.parametrize(
+    "phi", [[np.nan, 0], [np.inf, 0], [2.0, 0], [1 + 7e-9, 0]], ids=["nan", "inf", "two", "norm-1+7e-9"]
+)
 def test_unit_checks_refuse_non_unit_vectors(build, phi):
     with pytest.raises(ValueError, match="expected a unit vector"):
         build(np.array(phi), np.array([1.0, 0]), BasisPair.standard(2, 2))

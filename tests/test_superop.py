@@ -308,7 +308,7 @@ def test_choi_requires_square():
         (lambda: vec_t(np.eye(2, 3), Basis.standard(2)), "vec_t: operator/basis dimension mismatch"),
         (lambda: lift_r(HSMap.identity(3, 2), BasisPair.standard(2, 3)), "lift_r: map and bases dimensions differ"),
         (lambda: m_alpha([np.eye(2)], np.zeros(3), Basis.standard(2)), "m_alpha: vector length != d\\*d"),
-        (lambda: choi_of_vector(np.eye(2, 3), Basis.standard(2)), "choi_of_vector: requires a d x d operator"),
+        (lambda: choi_of_vector(np.eye(2, 3), Basis.standard(2)), "choi_of_vector: operator/basis dimension mismatch"),
     ],
     ids=["vec_t", "lift_r", "m_alpha", "choi_of_vector"],
 )
@@ -322,10 +322,10 @@ def test_choi_of_vector():
     assert np.array_equal(choi_of_vector(np.eye(2), basis), np.array([1, 0, 0, 1], dtype=complex))
     assert np.array_equal(choi_of_vector(X, basis), np.array([0, 1, 1, 0], dtype=complex))
     rng = np.random.default_rng(15)
-    for d in (2, 4, 8):
-        b = Basis(random_unitary(d, int(rng.integers(0, 1000))))
+    for d2, d1 in ((2, 2), (4, 4), (8, 8), (3, 2), (2, 5)):  # A from H1 to H2 is d2 x d1
+        b = Basis(random_unitary(d1, int(rng.integers(0, 1000))))
         for _ in range(10):
-            a = complex_gaussian(d, d, rng)
+            a = complex_gaussian(d2, d1, rng)
             assert np.abs(choi_of_vector(a, b) - vec_t(a, b)).max() < 1e-12
 
 
